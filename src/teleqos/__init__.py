@@ -56,7 +56,6 @@ from .simulator import (
     TcpReceiver,
     TcpSource,
     build_simulator,
-    collect_metrics,
     extract_cycles,
     run,
 )
@@ -64,7 +63,6 @@ from .validation import (
     ValidationRow,
     compliance_from_simulation,
     emit_compliance,
-    emit_report,
     emit_validation,
     haptic_spec_of,
     run_validation,

@@ -30,7 +30,7 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class InvalidParams(ValueError):
@@ -63,6 +63,9 @@ class NetworkParams:
     n_ack: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("mu", "tau", "buf", "s_tcp", "n_ack"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu <= 0:
             raise InvalidParams(f"link capacity must be positive, got {self.mu}")
         if self.tau < 0:
@@ -370,7 +373,7 @@ def cbr_jitter_max(net: NetworkParams, cbr: CbrAggregate, t_cbr: float) -> float
     return (m * net.s_tcp + cbr.rate_total * t_cbr) / net.mu - t_cbr
 
 
-def haptic_jitter_max(net: NetworkParams, h: HapticFlowSpec, n_ack: int | None = None) -> float:
+def haptic_jitter_max(net: NetworkParams, h: HapticFlowSpec) -> float:
     """Worst positive jitter for the telehaptic stream under mixed cross-traffic.
 
     Between two telehaptic packets the queue can additionally absorb
@@ -381,8 +384,6 @@ def haptic_jitter_max(net: NetworkParams, h: HapticFlowSpec, n_ack: int | None =
     where m_tcp is evaluated at the aggregate CBR rate R_h + R_cross.
     With no cross traffic this reduces exactly to cbr_jitter_max.
     """
-    if n_ack is not None:
-        net = replace(net, n_ack=n_ack)
     agg = CbrAggregate(h.rate_total)
     m_tcp = m_tcp_max(net, agg, h.gap_h)
     m_cross = math.ceil(h.rate_cross * h.gap_h / h.pkt_cross) if h.rate_cross > 0 else 0
@@ -410,16 +411,16 @@ def av_delay_bounds(mux: AvMuxSpec, t_h: float, haptic_deadline: float) -> tuple
     return d_aud, d_vid
 
 
+SINGLE_LOSS_LOAD_LIMIT = 0.65  # empirical upper bound on R/mu for one loss per cycle
+
+
 def validity_check(net: NetworkParams, cbr: CbrAggregate) -> ValidityFlags:
     """Evaluate the three model-validity conditions (flags, never failures)."""
     return ValidityFlags(
         stability=cbr.rate_total < net.mu,
         full_utilization=net.buf > net.bdp,
-        single_loss=cbr.rate_total <= 0.65 * net.mu,
+        single_loss=cbr.rate_total <= SINGLE_LOSS_LOAD_LIMIT * net.mu,
     )
-
-
-SINGLE_LOSS_LOAD_LIMIT = 0.65  # empirical upper bound on R/mu for one loss per cycle
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +432,6 @@ def qos_check(
     h: HapticFlowSpec,
     qos: QosSpec | None = None,
     mux: AvMuxSpec | None = None,
-    n_ack: int | None = None,
 ) -> ComplianceReport:
     """Evaluate the analytic QoS sufficiency conditions for a telehaptic flow.
 
@@ -443,8 +443,6 @@ def qos_check(
     no closed form here; simulation fills those verdicts in.
     """
     qos = qos or QosSpec()
-    if n_ack is not None:
-        net = replace(net, n_ack=n_ack)
     agg = CbrAggregate(h.rate_total)
     flags = validity_check(net, agg)
 

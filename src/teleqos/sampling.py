@@ -49,8 +49,8 @@ class SignalSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("sum-of-sinusoids", "filtered-noise", "contact-burst"):
             raise InvalidSignalSpec(f"unknown signal kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise InvalidSignalSpec("amplitude must be >= 0")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise InvalidSignalSpec("amplitude must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ duplicate sections are rejected with the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -83,6 +84,10 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.kind not in FLOW_KINDS:
             raise ScenarioSemanticError(f"flow {self.name!r}: unknown kind {self.kind!r}")
+        for key in ("rate", "packet", "gap", "phase", "video_rate", "header"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ScenarioSemanticError(f"flow {self.name!r}: {key} must be finite, got {value}")
         if self.phase < 0:
             raise ScenarioSemanticError(f"flow {self.name!r}: phase must be >= 0")
         if self.kind in ("cbr", "telehaptic"):
@@ -127,6 +132,10 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.duration) or (
+            self.warmup is not None and not math.isfinite(self.warmup)
+        ):
+            raise ScenarioSemanticError("duration and warmup must be finite")
         if self.duration < 0:
             raise ScenarioSemanticError("duration must be >= 0")
         if self.warmup is not None and not 0 <= self.warmup <= self.duration:

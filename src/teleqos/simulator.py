@@ -18,10 +18,11 @@ it is emitted (infinite-bandwidth access links).
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import count, repeat
 
 from . import sampling
 from .scenario import FlowSpec, ScenarioConfig
@@ -123,9 +124,6 @@ class DropTailQueue:
     @property
     def busy(self) -> bool:
         return self.in_service is not None
-
-    def __len__(self) -> int:
-        return len(self.packets) + (1 if self.in_service is not None else 0)
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +288,7 @@ class FlowMetrics:
     max_positive_jitter: float = 0.0
     media_bytes: dict = field(default_factory=dict)
     media_dropped_bytes: dict = field(default_factory=dict)
-    delay_times: array = field(default_factory=lambda: array("d"))
-    delays: array = field(default_factory=lambda: array("d"))
+    last_delay: float | None = None  # of the latest post-warmup delivery, for jitter
     created_total: int = 0
     delivered_total: int = 0
     dropped_total: int = 0
@@ -311,7 +308,11 @@ class FlowMetrics:
 
 @dataclass
 class CycleRecord:
-    """One steady-state cycle, delimited by queue-overflow TCP loss events."""
+    """One steady-state cycle, delimited by queue-overflow TCP loss events.
+
+    The engine fills in the record while the cycle runs; end_ns is set when
+    the next loss event closes it. Per-flow delays are keyed by flow name.
+    """
 
     start_ns: int
     end_ns: int
@@ -381,12 +382,6 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def collect_metrics(trace: Trace, flow: str) -> FlowMetrics:
-    if flow not in trace.metrics:
-        raise UnknownFlow(flow)
-    return trace.metrics[flow]
-
-
 def extract_cycles(trace: Trace, min_cycles: int = 2) -> CycleStats:
     """Per-cycle queue statistics; requires >= 3 post-warmup loss events."""
     if trace.tcp_flow is None or len(trace.cycles) < max(min_cycles, 2):
@@ -413,28 +408,39 @@ def extract_cycles(trace: Trace, min_cycles: int = 2) -> CycleStats:
 # simulator construction
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Source:
+    """One traffic source. Open-loop sources (cbr, telehaptic, adaptive)
+    follow a fixed arrival stream; the TCP source is closed-loop and has none."""
+
     flow: int
     kind: str
     media: str
     size: int = 0
     gap_ns: int = 0
     phase_ns: int = 0
-    schedule: list | None = None  # adaptive: [(t_ns, size, breakdown), ...]
+    schedule: tuple | None = None  # adaptive: ((t_ns, size, breakdown), ...) before the phase
+
+    def arrivals(self) -> Iterator[tuple[int, int, dict | None]]:
+        """A fresh time-ordered iterator of an open-loop source's
+        (t_ns, size, breakdown) arrivals."""
+        if self.schedule is not None:
+            return ((t + self.phase_ns, size, brk) for t, size, brk in self.schedule)
+        return zip(count(self.phase_ns, self.gap_ns), repeat(self.size), repeat(None))
 
 
+@dataclass(frozen=True)
 class Simulator:
-    """A validated scenario bound to concrete sources; run() executes it."""
+    """A validated scenario bound to concrete sources; run() executes it for
+    at most `horizon` seconds, the span the adaptive schedules cover."""
 
-    def __init__(self, config: ScenarioConfig, sources: list[_Source], tcp_flow: int | None):
-        self.config = config
-        self.sources = sources
-        self.tcp_flow = tcp_flow
-        self.adaptive_horizon = config.duration
+    config: ScenarioConfig
+    sources: tuple[_Source, ...]
+    tcp_flow: int | None
+    horizon: float
 
 
-def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> list:
+def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
     sig_seed = flow.signal.seed if flow.signal.seed else seed
     spec = sampling.SignalSpec(
         kind=flow.signal.kind, amplitude=flow.signal.amplitude, seed=sig_seed
@@ -442,11 +448,12 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> list:
     samples = sampling.synth_haptic_trace(spec, duration)
     flags = sampling.deadband_filter(samples, flow.deadband)
     packets = sampling.vh_mux(flags, flow.video_rate, flow.header)
-    return [(_ns(p.time), p.size, p.breakdown) for p in packets if p.time < duration]
+    return tuple((_ns(p.time), p.size, p.breakdown) for p in packets if p.time < duration)
 
 
 def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Simulator:
-    """Validate the scenario and materialize its traffic sources.
+    """Validate the scenario and materialize its traffic sources for a
+    horizon of `duration` seconds (default: the scenario's duration).
 
     Raises ConfigError with a field-level message; in particular the
     aggregate CBR-like rate (including the realized mean rate of adaptive
@@ -486,9 +493,7 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
                 f"flows: aggregate CBR rate {total:.6g} B/s (incl. adaptive mean) "
                 f">= link capacity {config.net.mu:.6g} B/s with a TCP source present"
             )
-    sim = Simulator(config, sources, tcp_flow)
-    sim.adaptive_horizon = horizon
-    return sim
+    return Simulator(config, tuple(sources), tcp_flow, horizon)
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +504,6 @@ class _Engine:
     def __init__(self, sim: Simulator, duration: float, warmup: float, record: bool):
         cfg = sim.config
         self.sim = sim
-        self.net = cfg.net
         self.duration_ns = _ns(duration)
         self.warmup_ns = _ns(warmup)
         self.ns_per_byte = 1e9 / cfg.net.mu
@@ -510,9 +514,9 @@ class _Engine:
         self.records: list | None = [] if record else None
         self.work_violations = 0
 
-        n = len(sim.sources)
+        self.names = [f.name for f in cfg.flows]
         self.flow_media = [s.media for s in sim.sources]
-        self.metrics = [FlowMetrics(flow=cfg.flows[i].name) for i in range(n)]
+        self.metrics = [FlowMetrics(flow=name) for name in self.names]
         self.queue_min_pw: int | None = None
         self.queue_max_pw: int | None = None
 
@@ -521,19 +525,31 @@ class _Engine:
         if sim.tcp_flow is not None:
             self.tcp = TcpSource(sim.tcp_flow, sim.sources[sim.tcp_flow].size, cfg.net.n_ack)
             self.rcv = TcpReceiver(cfg.net.n_ack)
+        # the arrival stream of each open-loop flow; None for the TCP flow,
+        # whose packets enter through _emit_tcp
+        self.arrivals = [
+            None if s.flow == sim.tcp_flow else s.arrivals() for s in sim.sources
+        ]
 
         # cycle segmentation at TCP queue-overflow drops; drops closer than
         # one worst-case RTT belong to the same overflow event
         self.merge_gap_ns = _ns(2 * cfg.net.tau + cfg.net.buf / cfg.net.mu)
         self.last_tcp_drop_ns: int | None = None
         self.cycles: list[CycleRecord] = []
-        self.cur_cycle: dict | None = None
+        self.cur_cycle: CycleRecord | None = None
 
     # -- helpers ----------------------------------------------------------
 
     def _push(self, t: int, kind: int, sub: int, payload) -> None:
         self.counter += 1
         heappush(self.heap, (t, kind, sub, self.counter, payload))
+
+    def _push_arrival(self, flow: int, seq: int) -> None:
+        """Schedule the next packet of an open-loop flow, if it falls in the run."""
+        nxt = next(self.arrivals[flow], None)
+        if nxt is not None and nxt[0] <= self.duration_ns:
+            t, size, breakdown = nxt
+            self._push(t, EV_ARRIVE, flow, (flow, seq, size, t, breakdown))
 
     def _record(self, t, code, flow, seq, size, occ):
         if self.records is not None:
@@ -551,10 +567,10 @@ class _Engine:
                 self.queue_max_pw = occ
         cyc = self.cur_cycle
         if cyc is not None:
-            if occ < cyc["q_min"]:
-                cyc["q_min"] = occ
-            if occ > cyc["q_max"]:
-                cyc["q_max"] = occ
+            if occ < cyc.q_min:
+                cyc.q_min = occ
+            if occ > cyc.q_max:
+                cyc.q_max = occ
         return occ
 
     def _start_service(self, t: int) -> None:
@@ -563,26 +579,20 @@ class _Engine:
 
     def _close_cycle(self, t: int) -> None:
         cyc = self.cur_cycle
-        if cyc is not None and cyc["start"] >= self.warmup_ns:
-            self.cycles.append(
-                CycleRecord(
-                    start_ns=cyc["start"], end_ns=t,
-                    q_min=cyc["q_min"], q_max=cyc["q_max"],
-                    w_min=cyc["w_min"], losses=cyc["losses"],
-                    flow_delay_min=cyc["dmin"], flow_delay_max=cyc["dmax"],
-                )
-            )
+        if cyc is not None and cyc.start_ns >= self.warmup_ns:
+            cyc.end_ns = t
+            self.cycles.append(cyc)
         occ = self.queue.occupancy(t)
-        self.cur_cycle = {
-            "start": t, "q_min": occ, "q_max": occ,
-            "w_min": self.tcp.cwnd if self.tcp else 0.0, "losses": 1,
-            "dmin": {}, "dmax": {},
-        }
+        self.cur_cycle = CycleRecord(
+            start_ns=t, end_ns=t, q_min=occ, q_max=occ,
+            w_min=self.tcp.cwnd if self.tcp else 0.0, losses=1,
+            flow_delay_min={}, flow_delay_max={},
+        )
 
     def _tcp_drop(self, t: int) -> None:
         if self.last_tcp_drop_ns is not None and t - self.last_tcp_drop_ns <= self.merge_gap_ns:
             if self.cur_cycle is not None:
-                self.cur_cycle["losses"] += 1
+                self.cur_cycle.losses += 1
         else:
             self._close_cycle(t)
         self.last_tcp_drop_ns = t
@@ -603,19 +613,8 @@ class _Engine:
         pw = t >= self.warmup_ns
         if pw:
             m.created += 1
-        src = self.sim.sources[flow]
-        if src.kind in ("cbr", "telehaptic"):
-            nxt = t + src.gap_ns
-            if nxt <= self.duration_ns:
-                self._push(nxt, EV_ARRIVE, flow, (flow, seq + 1, size, nxt, None))
-            self._record(t, REC_SEND, flow, seq, size, self.queue.occupancy(t))
-        elif src.kind == "adaptive":
-            sched = src.schedule
-            if seq + 1 < len(sched):
-                nt, nsize, nbrk = sched[seq + 1]
-                nt += src.phase_ns
-                if nt <= self.duration_ns:
-                    self._push(nt, EV_ARRIVE, flow, (flow, seq + 1, nsize, nt, nbrk))
+        if self.arrivals[flow] is not None:
+            self._push_arrival(flow, seq + 1)
             self._record(t, REC_SEND, flow, seq, size, self.queue.occupancy(t))
 
         if self.queue.offer(pkt, t):
@@ -657,20 +656,20 @@ class _Engine:
                 m.min_delay = delay
             if m.max_delay is None or delay > m.max_delay:
                 m.max_delay = delay
-            if m.delays:
-                jit = delay - m.delays[-1]
+            if m.last_delay is not None:
+                jit = delay - m.last_delay
                 if jit > m.max_positive_jitter:
                     m.max_positive_jitter = jit
-            m.delay_times.append(t / 1e9)
-            m.delays.append(delay)
+            m.last_delay = delay
             cyc = self.cur_cycle
             if cyc is not None:
-                cur = cyc["dmin"].get(flow)
+                name = self.names[flow]
+                cur = cyc.flow_delay_min.get(name)
                 if cur is None or delay < cur:
-                    cyc["dmin"][flow] = delay
-                cur = cyc["dmax"].get(flow)
+                    cyc.flow_delay_min[name] = delay
+                cur = cyc.flow_delay_max.get(name)
                 if cur is None or delay > cur:
-                    cyc["dmax"][flow] = delay
+                    cyc.flow_delay_max[name] = delay
 
         if self.rcv is not None and flow == self.tcp.flow:
             ack = self.rcv.on_data(seq)
@@ -685,25 +684,17 @@ class _Engine:
         if tcp.cwnd != before:
             self._record(t, REC_WIN, tcp.flow, ack_seq, 0, self.queue.occupancy(t))
         cyc = self.cur_cycle
-        if cyc is not None and tcp.cwnd < cyc["w_min"]:
-            cyc["w_min"] = tcp.cwnd
+        if cyc is not None and tcp.cwnd < cyc.w_min:
+            cyc.w_min = tcp.cwnd
         self._emit_tcp(t, sends)
 
     # -- main loop ----------------------------------------------------------
 
     def execute(self) -> Trace:
-        sim, cfg = self.sim, self.sim.config
         if self.duration_ns > 0:
-            for src in sim.sources:
-                if src.kind in ("cbr", "telehaptic"):
-                    if src.phase_ns <= self.duration_ns:
-                        self._push(src.phase_ns, EV_ARRIVE, src.flow, (src.flow, 0, src.size, src.phase_ns, None))
-                elif src.kind == "adaptive":
-                    if src.schedule:
-                        t0, size, brk = src.schedule[0]
-                        t0 += src.phase_ns
-                        if t0 <= self.duration_ns:
-                            self._push(t0, EV_ARRIVE, src.flow, (src.flow, 0, size, t0, brk))
+            for flow, arrivals in enumerate(self.arrivals):
+                if arrivals is not None:
+                    self._push_arrival(flow, 0)
             if self.tcp is not None:
                 self._emit_tcp(0, self.tcp.initial_sends())
                 self._push(RTO_NS, EV_RTO, 0, None)
@@ -731,8 +722,8 @@ class _Engine:
                 self.work_violations += 1
 
         # census of packets still inside the system, for conservation checks
-        in_flight = {f.name: 0 for f in cfg.flows}
-        names = [f.name for f in cfg.flows]
+        names = self.names
+        in_flight = {name: 0 for name in names}
         for pkt in self.queue.packets:
             in_flight[names[pkt[0]]] += 1
         if self.queue.in_service is not None:
@@ -741,28 +732,19 @@ class _Engine:
             if kind == EV_DELIVER:
                 in_flight[names[payload[0]]] += 1
 
-        metrics = {names[i]: m for i, m in enumerate(self.metrics)}
-        cycles = [
-            CycleRecord(
-                start_ns=c.start_ns, end_ns=c.end_ns, q_min=c.q_min, q_max=c.q_max,
-                w_min=c.w_min, losses=c.losses,
-                flow_delay_min={names[k]: v for k, v in c.flow_delay_min.items()},
-                flow_delay_max={names[k]: v for k, v in c.flow_delay_max.items()},
-            )
-            for c in self.cycles
-        ]
+        tcp_flow = self.sim.tcp_flow
         return Trace(
-            config=cfg,
+            config=self.sim.config,
             duration=self.duration_ns / 1e9,
             warmup=self.warmup_ns / 1e9,
-            metrics=metrics,
-            cycles=cycles,
+            metrics={names[i]: m for i, m in enumerate(self.metrics)},
+            cycles=self.cycles,
             records=self.records,
             queue_min_pw=self.queue_min_pw,
             queue_max_pw=self.queue_max_pw,
             work_violations=self.work_violations,
             in_flight_end=in_flight,
-            tcp_flow=names[sim.tcp_flow] if sim.tcp_flow is not None else None,
+            tcp_flow=names[tcp_flow] if tcp_flow is not None else None,
         )
 
 
@@ -776,6 +758,7 @@ def run(
 
     duration/warmup default to the scenario's run settings; metrics cover
     only events past the warmup, raw records (record=True) cover everything.
+    The duration may not exceed the horizon the simulator was built for.
     """
     cfg = sim.config
     if duration is None:
@@ -786,10 +769,9 @@ def run(
         )
     if duration < 0 or warmup < 0 or warmup > duration:
         raise ConfigError("run: need duration >= warmup >= 0")
-    for src in sim.sources:
-        if src.kind == "adaptive" and duration > sim.adaptive_horizon:
-            fresh = build_simulator(cfg, duration)
-            sim.sources = fresh.sources
-            sim.adaptive_horizon = duration
-            break
+    if duration > sim.horizon:
+        raise ConfigError(
+            f"run: duration {duration:g} s exceeds the simulator's horizon "
+            f"{sim.horizon:g} s; build it with build_simulator(config, {duration:g})"
+        )
     return _Engine(sim, duration, warmup, record).execute()

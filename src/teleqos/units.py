@@ -11,6 +11,8 @@ so that ``parse(render(x)) == x`` exactly for any float; the human units
 
 from __future__ import annotations
 
+import math
+
 
 class UnitError(ValueError):
     """Raised when a quantity string is malformed or has the wrong unit."""
@@ -58,10 +60,12 @@ def _parse(text: str, units: dict[str, float], kind: str) -> float:
             f"(expected one of {', '.join(sorted(u for u in units if u))})"
         )
     try:
-        value = float(num)
+        value = float(num) * units[suffix]
     except ValueError:
         raise UnitError(f"cannot parse number in {kind} value {text!r}") from None
-    return value * units[suffix]
+    if not math.isfinite(value):
+        raise UnitError(f"{kind} value {text!r} is not a finite number")
+    return value
 
 
 def parse_rate(text: str) -> float:

@@ -257,13 +257,6 @@ def emit_validation(rows: list[ValidationRow], fmt: str = "csv", rate_control: b
     return "\n".join(lines) + "\n"
 
 
-def emit_report(obj, fmt: str = "csv") -> str:
-    """Uniform emission: a ValidationRow list or a ComplianceReport."""
-    if isinstance(obj, ComplianceReport):
-        return emit_compliance(obj, fmt)
-    return emit_validation(list(obj), fmt)
-
-
 def emit_compliance(report: ComplianceReport, fmt: str = "text") -> str:
     if fmt == "csv":
         buf = io.StringIO()

@@ -12,7 +12,6 @@ from teleqos import (
     NetworkParams,
     ScenarioConfig,
     build_simulator,
-    collect_metrics,
     delay_bounds,
     extract_cycles,
     run,
@@ -20,6 +19,7 @@ from teleqos import (
 from teleqos.simulator import (
     CA,
     FR,
+    ConfigError,
     DropTailQueue,
     InsufficientCycles,
     TcpSource,
@@ -211,9 +211,34 @@ def test_steady_state_cycles(base_scenario):
     agg = CbrAggregate(3 * MBPS)
     dmin_a, dmax_a = delay_bounds(base_scenario.net, agg)
     assert stats.observed_d_min("media") == pytest.approx(dmin_a, rel=0.15)
+    with pytest.raises(UnknownFlow):
+        stats.observed_d_min("nope")
     assert stats.observed_d_max("media") == pytest.approx(dmax_a, rel=0.05)
     assert trace.metrics["media"].max_delay == pytest.approx(dmax_a, rel=0.01)
     assert trace.metrics["media"].max_delay <= dmax_a + 1e-9
+
+
+def test_same_simulator_runs_twice_identically(base_net):
+    # every run pulls fresh arrival streams from the same immutable sources
+    flows = (
+        FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=50000.0, phase=2e-4),
+        FlowSpec(name="bulk", kind="tcp"),
+        FlowSpec(name="cross", kind="cbr", rate=1 * MBPS, packet=150.0),
+    )
+    cfg = ScenarioConfig(net=base_net, flows=flows, duration=3.0, warmup=1.0)
+    sim = build_simulator(cfg)
+    first = run(sim, record=True).to_csv()
+    assert run(sim, record=True).to_csv() == first
+
+
+def test_run_past_horizon_raises(base_scenario):
+    sim = build_simulator(base_scenario, 5.0)
+    assert sim.horizon == 5.0
+    with pytest.raises(ConfigError, match="horizon"):
+        run(sim, duration=6.0)
+    assert run(sim, duration=5.0, warmup=0.0).duration == 5.0
+    with pytest.raises(AttributeError):
+        sim.sources = ()
 
 
 def test_zero_duration_gives_empty_trace(base_scenario):
@@ -271,13 +296,6 @@ def test_adaptive_schedule_follows_scenario_seed(base_net):
 
     assert build(1) == build(1)
     assert build(1) != build(2)
-
-
-def test_collect_metrics_unknown_flow(base_scenario):
-    trace = run(build_simulator(base_scenario), duration=1.0, warmup=0.0)
-    with pytest.raises(UnknownFlow):
-        collect_metrics(trace, "nope")
-    assert collect_metrics(trace, "media").created > 0
 
 
 def test_build_rejects_overload_with_tcp(base_net):

@@ -86,14 +86,13 @@ def test_parallel_jobs_match_serial(base_cfg):
     assert serial == parallel
 
 
-def test_emit_report_dispatch(base_cfg):
-    from teleqos import emit_report
-
-    rows = run_validation(base_cfg, "R", [3 * MBPS], nack_grid=(1,), simulate=False)
-    assert emit_report(rows, "csv") == emit_validation(rows, "csv")
-    trace = run(build_simulator(base_cfg, 3.0), duration=3.0, warmup=1.0)
-    report = compliance_from_simulation(base_cfg, trace)
-    assert emit_report(report, "text") == emit_compliance(report, "text")
+def test_parallel_jobs_match_serial_with_simulation(base_cfg):
+    grid = [r * MBPS for r in (2, 3)]
+    kwargs = dict(nack_grid=(1, 2), duration=4.0, warmup=1.0, simulate=True)
+    serial = run_validation(base_cfg, "R", grid, jobs=1, **kwargs)
+    parallel = run_validation(base_cfg, "R", grid, jobs=2, **kwargs)
+    assert all(r.jit_s is not None and r.dmax_s is not None for r in serial)
+    assert serial == parallel
 
 
 def test_compliance_from_simulation(base_cfg):
