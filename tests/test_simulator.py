@@ -218,6 +218,19 @@ def test_steady_state_cycles(base_scenario):
     assert trace.metrics["media"].max_delay <= dmax_a + 1e-9
 
 
+def test_collect_metrics_unknown_flow(base_scenario):
+    # a name that is not a flow of the scenario raises UnknownFlow from the
+    # per-cycle lookups; a real flow has metrics and cycle extremes
+    trace = run(build_simulator(base_scenario), duration=3.0, warmup=1.0)
+    stats = extract_cycles(trace)
+    with pytest.raises(UnknownFlow):
+        stats.observed_d_min("nope")
+    with pytest.raises(UnknownFlow):
+        stats.observed_d_max("nope")
+    assert trace.metrics["media"].created > 0
+    assert stats.observed_d_min("media") <= stats.observed_d_max("media")
+
+
 def test_same_simulator_runs_twice_identically(base_net):
     # every run pulls fresh arrival streams from the same immutable sources
     flows = (
