@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 
 from . import sampling, simulator, units, validation
-from .model import InvalidParams
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 from .units import UnitError
 
@@ -50,7 +49,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _load(args)
     sim = simulator.build_simulator(config, args.duration)
-    trace = simulator.run(sim, duration=args.duration, warmup=args.warmup, record=bool(args.trace))
+    trace = simulator.run(sim, warmup=args.warmup, record=bool(args.trace))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_csv())
@@ -115,7 +114,7 @@ def _cmd_rates(args) -> int:
         raise ScenarioError("rates: the scenario has no adaptive flow")
     flow = adaptive[0]
     sim = simulator.build_simulator(config)
-    src = next(s for s in sim.sources if s.kind == "adaptive" and s.flow == config.flows.index(flow))
+    src = sim.sources[config.flows.index(flow)]
     packets = [(t / 1e9, float(size)) for t, size, _ in src.schedule]
     series = sampling.instantaneous_rate(packets, window=args.window)
     if args.format == "csv":
@@ -179,10 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"teleqos: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ScenarioError, UnitError, InvalidParams, simulator.ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"teleqos: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -211,20 +211,13 @@ def vh_mux(
     return packets
 
 
-def instantaneous_rate(
-    packets: list[tuple[float, float]] | list[MuxPacket],
-    window: float = 0.1,
-) -> RateSeries:
+def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) -> RateSeries:
     """Sliding-window byte rate of a packet stream, plus peak and long-term mean."""
     if not packets:
         raise EmptyStream("cannot compute a rate series for an empty stream")
     if window <= 0:
         raise InvalidSignalSpec(f"window must be positive, got {window}")
-    if isinstance(packets[0], MuxPacket):
-        pairs = [(p.time, float(p.size)) for p in packets]
-    else:
-        pairs = [(float(t), float(s)) for t, s in packets]
-    pairs.sort()
+    pairs = sorted((float(t), float(s)) for t, s in packets)
     times = np.array([t for t, _ in pairs])
     sizes = np.array([s for _, s in pairs])
     cum = np.concatenate([[0.0], np.cumsum(sizes)])

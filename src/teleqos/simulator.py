@@ -368,7 +368,6 @@ class Trace:
     queue_max_pw: int | None
     work_violations: int
     in_flight_end: dict[str, int]
-    tcp_flow: str | None
 
     def to_csv(self) -> str:
         """Raw trace as CSV (requires record=True at run time)."""
@@ -382,9 +381,9 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def extract_cycles(trace: Trace, min_cycles: int = 2) -> CycleStats:
+def extract_cycles(trace: Trace) -> CycleStats:
     """Per-cycle queue statistics; requires >= 3 post-warmup loss events."""
-    if trace.tcp_flow is None or len(trace.cycles) < max(min_cycles, 2):
+    if len(trace.cycles) < 2:
         n = len(trace.cycles) + 1 if trace.cycles else 0
         raise InsufficientCycles(
             f"need >= 3 TCP loss events past warmup, got {n}"
@@ -415,18 +414,18 @@ class _Source:
 
     flow: int
     kind: str
-    media: str
     size: int = 0
     gap_ns: int = 0
     phase_ns: int = 0
     schedule: tuple | None = None  # adaptive: ((t_ns, size, breakdown), ...) before the phase
 
-    def arrivals(self) -> Iterator[tuple[int, int, dict | None]]:
+    def arrivals(self) -> Iterator[tuple[int, int, dict]]:
         """A fresh time-ordered iterator of an open-loop source's
-        (t_ns, size, breakdown) arrivals."""
+        (t_ns, size, breakdown) arrivals; breakdown maps media to bytes."""
         if self.schedule is not None:
             return ((t + self.phase_ns, size, brk) for t, size, brk in self.schedule)
-        return zip(count(self.phase_ns, self.gap_ns), repeat(self.size), repeat(None))
+        breakdown = {"haptic" if self.kind == "telehaptic" else "cbr-cross": self.size}
+        return zip(count(self.phase_ns, self.gap_ns), repeat(self.size), repeat(breakdown))
 
 
 @dataclass(frozen=True)
@@ -460,8 +459,8 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
     flows) must stay below the link capacity when a TCP source is present.
     """
     horizon = duration if duration is not None else config.duration
-    if horizon < 0:
-        raise ConfigError("duration: must be >= 0")
+    if not 0 <= horizon < math.inf:
+        raise ConfigError("duration: must be finite and >= 0")
     sources: list[_Source] = []
     tcp_flow = None
     adaptive_mean = 0.0
@@ -469,12 +468,11 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
         if flow.kind == "tcp":
             tcp_flow = idx
             size = int(round(flow.packet if flow.packet else config.net.s_tcp))
-            sources.append(_Source(idx, "tcp", "tcp-data", size=size))
+            sources.append(_Source(idx, "tcp", size=size))
         elif flow.kind in ("cbr", "telehaptic"):
-            media = "haptic" if flow.kind == "telehaptic" else "cbr-cross"
             sources.append(
                 _Source(
-                    idx, flow.kind, media,
+                    idx, flow.kind,
                     size=int(round(flow.packet)),
                     gap_ns=_ns(flow.gap),
                     phase_ns=_ns(flow.phase),
@@ -482,7 +480,7 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
             )
         else:  # adaptive
             sched = _adaptive_schedule(flow, max(horizon, 1e-3), config.seed)
-            sources.append(_Source(idx, "adaptive", "haptic", phase_ns=_ns(flow.phase), schedule=sched))
+            sources.append(_Source(idx, "adaptive", phase_ns=_ns(flow.phase), schedule=sched))
             if horizon > 0 and sched:
                 adaptive_mean += sum(s for _, s, _ in sched) / horizon
 
@@ -501,10 +499,10 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
 
 
 class _Engine:
-    def __init__(self, sim: Simulator, duration: float, warmup: float, record: bool):
+    def __init__(self, sim: Simulator, warmup: float, record: bool):
         cfg = sim.config
         self.sim = sim
-        self.duration_ns = _ns(duration)
+        self.duration_ns = _ns(sim.horizon)
         self.warmup_ns = _ns(warmup)
         self.ns_per_byte = 1e9 / cfg.net.mu
         self.tau_ns = _ns(cfg.net.tau)
@@ -515,7 +513,6 @@ class _Engine:
         self.work_violations = 0
 
         self.names = [f.name for f in cfg.flows]
-        self.flow_media = [s.media for s in sim.sources]
         self.metrics = [FlowMetrics(flow=name) for name in self.names]
         self.queue_min_pw: int | None = None
         self.queue_max_pw: int | None = None
@@ -525,6 +522,7 @@ class _Engine:
         if sim.tcp_flow is not None:
             self.tcp = TcpSource(sim.tcp_flow, sim.sources[sim.tcp_flow].size, cfg.net.n_ack)
             self.rcv = TcpReceiver(cfg.net.n_ack)
+            self.tcp_breakdown = {"tcp-data": self.tcp.size}
         # the arrival stream of each open-loop flow; None for the TCP flow,
         # whose packets enter through _emit_tcp
         self.arrivals = [
@@ -551,8 +549,12 @@ class _Engine:
             t, size, breakdown = nxt
             self._push(t, EV_ARRIVE, flow, (flow, seq, size, t, breakdown))
 
-    def _record(self, t, code, flow, seq, size, occ):
+    def _record(self, t, code, flow, seq, size, occ=None):
+        """Append a raw record when recording; occ defaults to the queue
+        occupancy at t, read only then."""
         if self.records is not None:
+            if occ is None:
+                occ = self.queue.occupancy(t)
             cwnd = self.tcp.cwnd if (self.tcp and flow == self.tcp.flow) else None
             self.records.append((t, code, flow, seq, size, occ, cwnd))
 
@@ -600,8 +602,8 @@ class _Engine:
     def _emit_tcp(self, t: int, sends: list[tuple[int, bool]]) -> None:
         tcp = self.tcp
         for seq, _retx in sends:
-            pkt = (tcp.flow, seq, tcp.size, t, None)
-            self._record(t, REC_SEND, tcp.flow, seq, tcp.size, self.queue.occupancy(t))
+            pkt = (tcp.flow, seq, tcp.size, t, self.tcp_breakdown)
+            self._record(t, REC_SEND, tcp.flow, seq, tcp.size)
             self._push(t, EV_ARRIVE, tcp.flow, pkt)
 
     # -- event handlers ----------------------------------------------------
@@ -615,7 +617,7 @@ class _Engine:
             m.created += 1
         if self.arrivals[flow] is not None:
             self._push_arrival(flow, seq + 1)
-            self._record(t, REC_SEND, flow, seq, size, self.queue.occupancy(t))
+            self._record(t, REC_SEND, flow, seq, size)
 
         if self.queue.offer(pkt, t):
             occ = self._note_queue(t)
@@ -626,10 +628,10 @@ class _Engine:
             m.dropped_total += 1
             if pw:
                 m.dropped += 1
-                for tag, nbytes in (breakdown or {self.flow_media[flow]: size}).items():
+                for tag, nbytes in breakdown.items():
                     m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
                     m.media_dropped_bytes[tag] = m.media_dropped_bytes.get(tag, 0.0) + nbytes
-            self._record(t, REC_DROP, flow, seq, size, self.queue.occupancy(t))
+            self._record(t, REC_DROP, flow, seq, size)
             if self.tcp is not None and flow == self.tcp.flow:
                 self._tcp_drop(t)
 
@@ -645,10 +647,10 @@ class _Engine:
         flow, seq, size, created, breakdown = pkt
         m = self.metrics[flow]
         m.delivered_total += 1
-        self._record(t, REC_DELIV, flow, seq, size, self.queue.occupancy(t))
+        self._record(t, REC_DELIV, flow, seq, size)
         if t >= self.warmup_ns:
             m.delivered += 1
-            for tag, nbytes in (breakdown or {self.flow_media[flow]: size}).items():
+            for tag, nbytes in breakdown.items():
                 m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
             delay_ns = t - created
             delay = delay_ns / 1e9
@@ -679,10 +681,10 @@ class _Engine:
     def _handle_ack(self, t: int, ack_seq: int) -> None:
         tcp = self.tcp
         before = tcp.cwnd
-        self._record(t, REC_ACK, tcp.flow, ack_seq, ACK_SIZE, self.queue.occupancy(t))
+        self._record(t, REC_ACK, tcp.flow, ack_seq, ACK_SIZE)
         sends = tcp.on_ack(ack_seq, t)
         if tcp.cwnd != before:
-            self._record(t, REC_WIN, tcp.flow, ack_seq, 0, self.queue.occupancy(t))
+            self._record(t, REC_WIN, tcp.flow, ack_seq, 0)
         cyc = self.cur_cycle
         if cyc is not None and tcp.cwnd < cyc.w_min:
             cyc.w_min = tcp.cwnd
@@ -732,7 +734,6 @@ class _Engine:
             if kind == EV_DELIVER:
                 in_flight[names[payload[0]]] += 1
 
-        tcp_flow = self.sim.tcp_flow
         return Trace(
             config=self.sim.config,
             duration=self.duration_ns / 1e9,
@@ -744,34 +745,17 @@ class _Engine:
             queue_max_pw=self.queue_max_pw,
             work_violations=self.work_violations,
             in_flight_end=in_flight,
-            tcp_flow=names[tcp_flow] if tcp_flow is not None else None,
         )
 
 
-def run(
-    sim: Simulator,
-    duration: float | None = None,
-    warmup: float | None = None,
-    record: bool = False,
-) -> Trace:
-    """Execute the simulation deterministically.
+def run(sim: Simulator, warmup: float | None = None, record: bool = False) -> Trace:
+    """Execute the simulation deterministically for the simulator's horizon.
 
-    duration/warmup default to the scenario's run settings; metrics cover
+    warmup defaults to the scenario's, capped at the horizon; metrics cover
     only events past the warmup, raw records (record=True) cover everything.
-    The duration may not exceed the horizon the simulator was built for.
     """
-    cfg = sim.config
-    if duration is None:
-        duration = cfg.duration
     if warmup is None:
-        warmup = cfg.effective_warmup if duration == cfg.duration else min(
-            cfg.effective_warmup, duration
-        )
-    if duration < 0 or warmup < 0 or warmup > duration:
-        raise ConfigError("run: need duration >= warmup >= 0")
-    if duration > sim.horizon:
-        raise ConfigError(
-            f"run: duration {duration:g} s exceeds the simulator's horizon "
-            f"{sim.horizon:g} s; build it with build_simulator(config, {duration:g})"
-        )
-    return _Engine(sim, duration, warmup, record).execute()
+        warmup = min(sim.config.effective_warmup, sim.horizon)
+    if not 0 <= warmup <= sim.horizon:
+        raise ConfigError("run: need horizon >= warmup >= 0")
+    return _Engine(sim, warmup, record).execute()

@@ -34,15 +34,24 @@ FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3}
 FRACTION_UNITS = {"": 1.0, "%": 1e-2}
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse(text: str, units: dict[str, float], kind: str) -> float:
     parts = text.strip().split()
     if len(parts) == 1:
-        # allow "8ms" as well as "8 ms"
+        # allow "8ms" as well as "8 ms": split at the known suffix that leaves
+        # a number, so "nans" is nan seconds and "nan" a bare fraction
         s = parts[0]
-        split = len(s)
-        while split > 0 and not (s[split - 1].isdigit() or s[split - 1] == "."):
-            split -= 1
-        parts = [s[:split], s[split:]] if s[split:] else [s]
+        for suffix in units:
+            if suffix and s.endswith(suffix) and _is_number(s[: -len(suffix)]):
+                parts = [s[: -len(suffix)], suffix]
+                break
     if len(parts) == 1:
         if "" in units:
             parts.append("")

@@ -142,7 +142,7 @@ def _one_point(
     if simulate:
         tele_name = next(f.name for f in cfg.flows if f.kind == "telehaptic")
         sim = simulator.build_simulator(cfg, duration)
-        trace = simulator.run(sim, duration=duration, warmup=warmup)
+        trace = simulator.run(sim, warmup=warmup)
         m = trace.metrics[tele_name]
         jit_s = m.max_positive_jitter
         # d_max is a bound, so the run-wide maximum is compared; d_min uses
@@ -201,9 +201,8 @@ def compliance_from_simulation(config: ScenarioConfig, trace: simulator.Trace) -
     }
     observed: dict[str, tuple[float, float]] = {}
     for metrics in trace.metrics.values():
-        for tag, frac in metrics.media_loss.items():
+        for tag, total in metrics.media_bytes.items():
             if tag in limits:
-                total = metrics.media_bytes.get(tag, 0.0)
                 prev_total, prev_dropped = observed.get(tag, (0.0, 0.0))
                 observed[tag] = (
                     prev_total + total,
@@ -231,17 +230,16 @@ def _fmt_ms(value: float | None) -> str:
     return "" if value is None else f"{value * 1e3:.4f}"
 
 
-def emit_validation(rows: list[ValidationRow], fmt: str = "csv", rate_control: bool = True) -> str:
+def emit_validation(rows: list[ValidationRow], fmt: str = "csv") -> str:
     """Rows as CSV (fixed column order) or an aligned text table.
 
     Rate-valued controls are reported in Mbps, capacities likewise.
     """
     table = [VALIDATION_COLUMNS]
     for r in rows:
-        control = r.control * 8 / 1e6 if rate_control else r.control
         table.append(
             (
-                f"{control:.6g}", str(r.nack),
+                f"{r.control * 8 / 1e6:.6g}", str(r.nack),
                 _fmt_ms(r.dmin_a), _fmt_ms(r.dmin_s),
                 _fmt_ms(r.dmax_a), _fmt_ms(r.dmax_s),
                 _fmt_ms(r.jit_a), _fmt_ms(r.jit_s),

@@ -171,7 +171,7 @@ def test_criterion_3_jitter_table():
                 f"vs {ref_ms} ms ({best_err * 100:.0f}% off)"
             )
         cfg = jitter_scenario(mu, best_n)
-        trace = run(build_simulator(cfg), duration=30.0, warmup=10.0)
+        trace = run(build_simulator(cfg), warmup=10.0)
         jit_s = trace.metrics["media"].max_positive_jitter
         single_loss = 7.996 * MBPS <= 0.65 * mu
         if single_loss and not (0.7 * best_a <= jit_s <= best_a + 0.05 * MS):
@@ -198,7 +198,7 @@ def test_criterion_3_jitter_table():
 def base_500s_loss():
     flows = (telehaptic_flow(), FlowSpec(name="bulk", kind="tcp"))
     cfg = ScenarioConfig(net=base_net(), flows=flows, duration=500.0, warmup=50.0)
-    trace = run(build_simulator(cfg), duration=500.0, warmup=50.0)
+    trace = run(build_simulator(cfg), warmup=50.0)
     return trace.metrics["media"]
 
 
@@ -225,7 +225,7 @@ def test_criterion_4_loss_dichotomy(base_500s_loss):
     inflated = {}
     for r_mbps in (4.528, 5.0, 5.5):
         cfg = inflated_scenario(r_mbps * MBPS)
-        trace = run(build_simulator(cfg), duration=120.0, warmup=20.0)
+        trace = run(build_simulator(cfg), warmup=20.0)
         inflated[r_mbps] = trace.metrics["media"].loss_fraction
     inflated_ok = (
         all(0.0 < frac < 0.10 for frac in inflated.values())
@@ -273,7 +273,7 @@ def test_criterion_6_provisioning_dichotomy():
             FlowSpec(name="cross", kind="cbr", rate=net.mu - residual, packet=150.0),
         )
         cfg = ScenarioConfig(net=net, flows=flows, duration=60.0, warmup=5.0, seed=7)
-        trace = run(build_simulator(cfg), duration=60.0, warmup=5.0)
+        trace = run(build_simulator(cfg), warmup=5.0)
         m = trace.metrics["vh"]
         results[label] = (m.media_loss.get("video", 0.0), m.max_delay, m.dropped)
 
@@ -353,7 +353,7 @@ def test_criterion_8_invariant_suites():
     sim_cases = 0
     for _ in range(6):
         cfg = random_scenario(rng)
-        trace = run(build_simulator(cfg), duration=4.0, warmup=0.0)
+        trace = run(build_simulator(cfg), warmup=0.0)
         assert trace.work_violations == 0
         assert trace.queue_max_pw <= cfg.net.buf
         for name, m in trace.metrics.items():
@@ -368,8 +368,8 @@ def test_criterion_8_invariant_suites():
         sim_cases += 1
 
     cfg = sweep_scenario()
-    a = run(build_simulator(cfg), duration=5.0, warmup=1.0, record=True).to_csv()
-    b = run(build_simulator(cfg), duration=5.0, warmup=1.0, record=True).to_csv()
+    a = run(build_simulator(cfg, 5.0), warmup=1.0, record=True).to_csv()
+    b = run(build_simulator(cfg, 5.0), warmup=1.0, record=True).to_csv()
     assert a == b
 
     elapsed = time.time() - t0

@@ -16,11 +16,13 @@ from teleqos import (
     ScenarioError,
     ScenarioSemanticError,
     SignalSpec,
+    build_simulator,
     parse_scenario,
     render_scenario,
     units,
 )
 from teleqos.sampling import InvalidSignalSpec
+from teleqos.simulator import ConfigError
 
 MBPS = 1e6 / 8.0
 
@@ -46,11 +48,11 @@ def test_render_parse_roundtrip(value, codec):
     assert parse(render(value)) == value
 
 
-@given(non_finite_text, st.sampled_from(SUFFIXED))
-def test_parse_rejects_non_finite(number, case):
+@given(non_finite_text, st.sampled_from(SUFFIXED), st.sampled_from([" ", ""]))
+def test_parse_rejects_non_finite(number, case, space):
     parse, suffix = case
-    with pytest.raises(units.UnitError):
-        parse(f"{number} {suffix}".strip())
+    with pytest.raises(units.UnitError, match="finite"):
+        parse(f"{number}{space}{suffix}".strip())
 
 
 def test_parse_rejects_overflow_of_the_unit_multiplier():
@@ -91,6 +93,14 @@ def test_scenario_config_rejects_non_finite(key, value):
     fields[key] = value
     with pytest.raises(ScenarioSemanticError):
         ScenarioConfig(net=net, flows=(FlowSpec(name="bulk", kind="tcp"),), **fields)
+
+
+@given(non_finite)
+def test_build_simulator_rejects_non_finite_run_length(value):
+    net = NetworkParams(mu=6 * MBPS, tau=8e-3, buf=14000.0, s_tcp=578.0)
+    cfg = ScenarioConfig(net=net, flows=(FlowSpec(name="bulk", kind="tcp"),), duration=1.0)
+    with pytest.raises(ConfigError, match="finite"):
+        build_simulator(cfg, value)
 
 
 @given(non_finite)

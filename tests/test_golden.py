@@ -53,5 +53,15 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trace_digest(name):
     make, digest = GOLDEN[name]
-    trace = run(build_simulator(make(), 5.0), duration=5.0, warmup=1.0, record=True)
+    trace = run(build_simulator(make(), 5.0), warmup=1.0, record=True)
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_recording_does_not_change_results(name):
+    # the queue occupancy of a raw record is read only when recording, so
+    # both paths must agree on every metric, cycle and queue extreme
+    sim = build_simulator(GOLDEN[name][0](), 5.0)
+    recorded = run(sim, warmup=1.0, record=True)
+    assert recorded.metrics["media"].media_bytes
+    assert replace(recorded, records=None) == run(sim, warmup=1.0, record=False)

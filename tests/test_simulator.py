@@ -19,7 +19,6 @@ from teleqos import (
 from teleqos.simulator import (
     CA,
     FR,
-    ConfigError,
     DropTailQueue,
     InsufficientCycles,
     TcpSource,
@@ -162,7 +161,7 @@ def test_conservation_capacity_work_conservation():
     rng = random.Random(42)
     for _ in range(12):
         cfg = random_scenario(rng)
-        trace = run(build_simulator(cfg), duration=4.0, warmup=0.0)
+        trace = run(build_simulator(cfg), warmup=0.0)
         assert trace.work_violations == 0
         assert trace.queue_max_pw is not None and trace.queue_max_pw <= cfg.net.buf
         for name, m in trace.metrics.items():
@@ -172,13 +171,13 @@ def test_conservation_capacity_work_conservation():
 
 
 def test_determinism_byte_identical_traces(base_scenario):
-    t1 = run(build_simulator(base_scenario), duration=5.0, warmup=1.0, record=True)
-    t2 = run(build_simulator(base_scenario), duration=5.0, warmup=1.0, record=True)
+    t1 = run(build_simulator(base_scenario, 5.0), warmup=1.0, record=True)
+    t2 = run(build_simulator(base_scenario, 5.0), warmup=1.0, record=True)
     assert t1.to_csv() == t2.to_csv()
 
 
 def test_trace_csv_shape(base_scenario):
-    trace = run(build_simulator(base_scenario), duration=1.0, warmup=0.0, record=True)
+    trace = run(build_simulator(base_scenario, 1.0), warmup=0.0, record=True)
     lines = trace.to_csv().splitlines()
     assert lines[0] == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts"
     assert len(lines) > 100
@@ -188,12 +187,12 @@ def test_trace_csv_shape(base_scenario):
 
 def test_queue_never_empties_in_steady_state(base_scenario):
     # full-utilization regime: B > 2*mu*tau and a live TCP source
-    trace = run(build_simulator(base_scenario), duration=30.0, warmup=15.0)
+    trace = run(build_simulator(base_scenario), warmup=15.0)
     assert trace.queue_min_pw > 0
 
 
 def test_steady_state_cycles(base_scenario):
-    trace = run(build_simulator(base_scenario), duration=30.0, warmup=10.0)
+    trace = run(build_simulator(base_scenario), warmup=10.0)
     stats = extract_cycles(trace)
     assert len(stats.cycles) >= 10
     # the sawtooth is periodic: the minimum window repeats essentially
@@ -221,7 +220,7 @@ def test_steady_state_cycles(base_scenario):
 def test_collect_metrics_unknown_flow(base_scenario):
     # a name that is not a flow of the scenario raises UnknownFlow from the
     # per-cycle lookups; a real flow has metrics and cycle extremes
-    trace = run(build_simulator(base_scenario), duration=3.0, warmup=1.0)
+    trace = run(build_simulator(base_scenario, 3.0), warmup=1.0)
     stats = extract_cycles(trace)
     with pytest.raises(UnknownFlow):
         stats.observed_d_min("nope")
@@ -247,22 +246,20 @@ def test_same_simulator_runs_twice_identically(base_net):
 def test_run_past_horizon_raises(base_scenario):
     sim = build_simulator(base_scenario, 5.0)
     assert sim.horizon == 5.0
-    with pytest.raises(ConfigError, match="horizon"):
-        run(sim, duration=6.0)
-    assert run(sim, duration=5.0, warmup=0.0).duration == 5.0
+    assert run(sim, warmup=0.0).duration == 5.0
     with pytest.raises(AttributeError):
         sim.sources = ()
 
 
 def test_zero_duration_gives_empty_trace(base_scenario):
-    trace = run(build_simulator(base_scenario), duration=0.0, warmup=0.0)
+    trace = run(build_simulator(base_scenario, 0.0), warmup=0.0)
     assert all(m.created_total == 0 for m in trace.metrics.values())
 
 
 def test_pure_cbr_trace_has_no_cycles(base_net):
     flows = (FlowSpec(name="media", kind="telehaptic", rate=1.096 * MBPS, packet=137.0, gap=1e-3),)
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=3.0, warmup=0.0)
-    trace = run(build_simulator(cfg), duration=3.0, warmup=0.0)
+    trace = run(build_simulator(cfg), warmup=0.0)
     with pytest.raises(InsufficientCycles):
         extract_cycles(trace)
 
@@ -273,7 +270,7 @@ def test_single_packet_flow_has_zero_jitter(base_net):
         FlowSpec(name="media", kind="telehaptic", rate=1.096 * MBPS, packet=137.0, gap=1e-3),
     )
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=3.0, warmup=0.0)
-    trace = run(build_simulator(cfg), duration=3.0, warmup=0.0)
+    trace = run(build_simulator(cfg), warmup=0.0)
     m = trace.metrics["lonely"]
     assert m.delivered == 1
     assert m.max_positive_jitter == 0.0
@@ -291,7 +288,7 @@ def test_jitter_bound_realized_at_heavy_load(base_net):
         FlowSpec(name="cross", kind="cbr", rate=(5.5 - 1.096) * MBPS, packet=150.0),
     )
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=20.0, warmup=5.0)
-    trace = run(build_simulator(cfg), duration=20.0, warmup=5.0)
+    trace = run(build_simulator(cfg), warmup=5.0)
     jit_a = haptic_jitter_max(base_net, haptic_spec_of(cfg))
     assert trace.metrics["media"].max_positive_jitter == pytest.approx(jit_a, rel=0.05)
 
@@ -327,12 +324,12 @@ def test_build_rejects_overload_with_tcp(base_net):
 
 def test_run_rejects_bad_warmup(base_scenario):
     with pytest.raises(Exception, match="warmup"):
-        run(build_simulator(base_scenario), duration=1.0, warmup=2.0)
+        run(build_simulator(base_scenario, 1.0), warmup=2.0)
 
 
 def test_delays_below_hard_bound(base_scenario):
     # every delivered packet's delay is at most tau + B/mu
-    trace = run(build_simulator(base_scenario), duration=10.0, warmup=2.0)
+    trace = run(build_simulator(base_scenario, 10.0), warmup=2.0)
     bound = base_scenario.net.tau + base_scenario.net.buf / base_scenario.net.mu
     for m in trace.metrics.values():
         if m.max_delay is not None:

@@ -96,7 +96,7 @@ def test_parallel_jobs_match_serial_with_simulation(base_cfg):
 
 
 def test_compliance_from_simulation(base_cfg):
-    trace = run(build_simulator(base_cfg, 6.0), duration=6.0, warmup=2.0)
+    trace = run(build_simulator(base_cfg, 6.0), warmup=2.0)
     report = compliance_from_simulation(base_cfg, trace)
     names = [c.name for c in report.conditions]
     assert names[:4] == ["stability", "haptic_delay", "haptic_jitter", "packet_size"]
