@@ -9,10 +9,18 @@ cumulative ACKs (every n-th packet) over an uncongested reverse path with
 the same tau. The clock is integer nanoseconds and the engine contains no
 randomness, so identical scenarios produce byte-identical traces.
 
-Event ordering at equal timestamps: link completions, then queue
-arrivals (lowest flow id, then sequence), then deliveries, then ACK
-processing. A source's transmission enters the queue at the same instant
-it is emitted (infinite-bandwidth access links).
+Pending events live in five places. Arrivals at the queue (the next
+packet of each open-loop source and TCP packets just sent) wait in a heap
+keyed (time, flow id, sequence). The link holds every packet for at least
+1 ns, so completions strictly increase; each delivery follows its
+completion by tau and each ACK its delivery by tau, so deliveries and ACKs
+wait in two FIFO delay lines (deques) already in time order. The one
+pending link completion and the retransmission timer are plain times.
+The engine takes the earliest head of the five; at equal timestamps the
+order is link completion, then queue arrival (lowest flow id, then
+sequence), then delivery, then ACK, then the timer. A source's
+transmission enters the queue at the same instant it is emitted
+(infinite-bandwidth access links).
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
 from . import sampling
@@ -30,16 +38,10 @@ from .scenario import FlowSpec, ScenarioConfig
 ACK_SIZE = 40
 RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
 
-# event kinds, in tie-break order
-EV_LINK_DONE = 0
-EV_ARRIVE = 1
-EV_DELIVER = 2
-EV_ACK = 3
-EV_RTO = 4
-
 # trace record event names, indexed by code
 REC_EVENTS = ("send", "enqueue", "drop", "dequeue", "deliver", "ack", "window-change")
 REC_SEND, REC_ENQ, REC_DROP, REC_DEQ, REC_DELIV, REC_ACK, REC_WIN = range(7)
+CSV_BLOCK = 16384  # records formatted per block by Trace.to_csv
 
 
 class ConfigError(ValueError):
@@ -90,15 +92,15 @@ class DropTailQueue:
         self.service_start_ns = 0
         self.bytes_per_ns = mu / 1e9
 
-    def service_remaining(self, t: int) -> int:
-        if self.in_service is None:
-            return 0
-        size = self.in_service[2]
-        serialized = int((t - self.service_start_ns) * self.bytes_per_ns)
-        return size - serialized if serialized < size else 0
-
     def occupancy(self, t: int) -> int:
-        return self.waiting_bytes + self.service_remaining(t)
+        """Waiting bytes plus the not-yet-serialized bytes of the packet in
+        service at time t."""
+        pkt = self.in_service
+        if pkt is None:
+            return self.waiting_bytes
+        size = pkt[2]
+        serialized = int((t - self.service_start_ns) * self.bytes_per_ns)
+        return self.waiting_bytes + (size - serialized if serialized < size else 0)
 
     def offer(self, pkt, t: int = 0) -> bool:
         """Admit pkt iff it fits whole; drops are per-packet, never partial."""
@@ -120,10 +122,6 @@ class DropTailQueue:
         pkt = self.in_service
         self.in_service = None
         return pkt
-
-    @property
-    def busy(self) -> bool:
-        return self.in_service is not None
 
 
 # --------------------------------------------------------------------------
@@ -373,12 +371,29 @@ class Trace:
         """Raw trace as CSV (requires record=True at run time)."""
         if self.records is None:
             raise SimulationError("trace was run without record=True")
-        lines = ["time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts"]
+        records = self.records
         names = [f.name for f in self.config.flows]
-        for t, code, flow, seq, size, occ, cwnd in self.records:
-            cw = f"{cwnd:.3f}" if cwnd is not None else ""
-            lines.append(f"{t},{REC_EVENTS[code]},{names[flow]},{seq},{size},{occ},{cw}")
-        return "\n".join(lines) + "\n"
+        labels = [[f"{event},{name}" for name in names] for event in REC_EVENTS]
+        cwnd_text = _CwndText()
+        blocks = ["time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"]
+        # format one block of records at a time, so the line strings of
+        # only one block are alive at once
+        for start in range(0, len(records), CSV_BLOCK):
+            lines = [
+                f"{t},{labels[code][flow]},{seq},{size},{occ},{cwnd_text[cwnd]}"
+                for t, code, flow, seq, size, occ, cwnd in records[start:start + CSV_BLOCK]
+            ]
+            lines.append("")
+            blocks.append("\n".join(lines))
+        return "".join(blocks)
+
+
+class _CwndText(dict):
+    """cwnd value -> its CSV text, formatted on first use; None -> ''."""
+
+    def __missing__(self, cwnd):
+        text = self[cwnd] = "" if cwnd is None else f"{cwnd:.3f}"
+        return text
 
 
 def extract_cycles(trace: Trace) -> CycleStats:
@@ -484,6 +499,17 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
             if horizon > 0 and sched:
                 adaptive_mean += sum(s for _, s, _ in sched) / horizon
 
+    # the link holds every packet for at least one clock tick (the engine's
+    # service time), so completions, deliveries and ACKs strictly increase
+    ns_per_byte = 1e9 / config.net.mu
+    for src in sources:
+        sizes = [size for _, size, _ in src.schedule] if src.schedule is not None else [src.size]
+        if sizes and int(min(sizes) * ns_per_byte + 0.5) < 1:
+            raise ConfigError(
+                f"flow {config.flows[src.flow].name!r}: a {min(sizes)} B packet takes "
+                f"under 1 ns on the link; the nanosecond clock needs at least 1 ns"
+            )
+
     if tcp_flow is not None:
         total = config.fixed_cbr_rate + adaptive_mean
         if total >= config.net.mu:
@@ -507,27 +533,16 @@ class _Engine:
         self.ns_per_byte = 1e9 / cfg.net.mu
         self.tau_ns = _ns(cfg.net.tau)
         self.queue = DropTailQueue(int(round(cfg.net.buf)), cfg.net.mu)
-        self.heap: list = []
-        self.counter = 0
         self.records: list | None = [] if record else None
-        self.work_violations = 0
 
         self.names = [f.name for f in cfg.flows]
         self.metrics = [FlowMetrics(flow=name) for name in self.names]
-        self.queue_min_pw: int | None = None
-        self.queue_max_pw: int | None = None
 
         self.tcp: TcpSource | None = None
         self.rcv: TcpReceiver | None = None
         if sim.tcp_flow is not None:
             self.tcp = TcpSource(sim.tcp_flow, sim.sources[sim.tcp_flow].size, cfg.net.n_ack)
             self.rcv = TcpReceiver(cfg.net.n_ack)
-            self.tcp_breakdown = {"tcp-data": self.tcp.size}
-        # the arrival stream of each open-loop flow; None for the TCP flow,
-        # whose packets enter through _emit_tcp
-        self.arrivals = [
-            None if s.flow == sim.tcp_flow else s.arrivals() for s in sim.sources
-        ]
 
         # cycle segmentation at TCP queue-overflow drops; drops closer than
         # one worst-case RTT belong to the same overflow event
@@ -536,215 +551,230 @@ class _Engine:
         self.cycles: list[CycleRecord] = []
         self.cur_cycle: CycleRecord | None = None
 
-    # -- helpers ----------------------------------------------------------
-
-    def _push(self, t: int, kind: int, sub: int, payload) -> None:
-        self.counter += 1
-        heappush(self.heap, (t, kind, sub, self.counter, payload))
-
-    def _push_arrival(self, flow: int, seq: int) -> None:
-        """Schedule the next packet of an open-loop flow, if it falls in the run."""
-        nxt = next(self.arrivals[flow], None)
-        if nxt is not None and nxt[0] <= self.duration_ns:
-            t, size, breakdown = nxt
-            self._push(t, EV_ARRIVE, flow, (flow, seq, size, t, breakdown))
-
-    def _record(self, t, code, flow, seq, size, occ=None):
-        """Append a raw record when recording; occ defaults to the queue
-        occupancy at t, read only then."""
-        if self.records is not None:
-            if occ is None:
-                occ = self.queue.occupancy(t)
-            cwnd = self.tcp.cwnd if (self.tcp and flow == self.tcp.flow) else None
-            self.records.append((t, code, flow, seq, size, occ, cwnd))
-
-    def _note_queue(self, t: int) -> int:
-        occ = self.queue.occupancy(t)
-        if occ > self.queue.capacity:
-            raise SimulationError("queue occupancy exceeded capacity")
-        if t >= self.warmup_ns:
-            if self.queue_min_pw is None or occ < self.queue_min_pw:
-                self.queue_min_pw = occ
-            if self.queue_max_pw is None or occ > self.queue_max_pw:
-                self.queue_max_pw = occ
+    def _tcp_drop(self, t: int) -> None:
+        """Count a TCP overflow loss: it joins the current loss event if it
+        follows the previous TCP drop within the merge gap, else it closes
+        the running cycle and opens the next one."""
+        last, self.last_tcp_drop_ns = self.last_tcp_drop_ns, t
         cyc = self.cur_cycle
-        if cyc is not None:
-            if occ < cyc.q_min:
-                cyc.q_min = occ
-            if occ > cyc.q_max:
-                cyc.q_max = occ
-        return occ
-
-    def _start_service(self, t: int) -> None:
-        pkt = self.queue.start_next(t)
-        self._push(t + int(pkt[2] * self.ns_per_byte + 0.5), EV_LINK_DONE, 0, None)
-
-    def _close_cycle(self, t: int) -> None:
-        cyc = self.cur_cycle
+        if last is not None and t - last <= self.merge_gap_ns:
+            if cyc is not None:
+                cyc.losses += 1
+            return
         if cyc is not None and cyc.start_ns >= self.warmup_ns:
             cyc.end_ns = t
             self.cycles.append(cyc)
         occ = self.queue.occupancy(t)
         self.cur_cycle = CycleRecord(
             start_ns=t, end_ns=t, q_min=occ, q_max=occ,
-            w_min=self.tcp.cwnd if self.tcp else 0.0, losses=1,
+            w_min=self.tcp.cwnd, losses=1,
             flow_delay_min={}, flow_delay_max={},
         )
 
-    def _tcp_drop(self, t: int) -> None:
-        if self.last_tcp_drop_ns is not None and t - self.last_tcp_drop_ns <= self.merge_gap_ns:
-            if self.cur_cycle is not None:
-                self.cur_cycle.losses += 1
-        else:
-            self._close_cycle(t)
-        self.last_tcp_drop_ns = t
-
-    def _emit_tcp(self, t: int, sends: list[tuple[int, bool]]) -> None:
-        tcp = self.tcp
-        for seq, _retx in sends:
-            pkt = (tcp.flow, seq, tcp.size, t, self.tcp_breakdown)
-            self._record(t, REC_SEND, tcp.flow, seq, tcp.size)
-            self._push(t, EV_ARRIVE, tcp.flow, pkt)
-
-    # -- event handlers ----------------------------------------------------
-
-    def _handle_arrive(self, t: int, pkt) -> None:
-        flow, seq, size, _created, breakdown = pkt
-        m = self.metrics[flow]
-        m.created_total += 1
-        pw = t >= self.warmup_ns
-        if pw:
-            m.created += 1
-        if self.arrivals[flow] is not None:
-            self._push_arrival(flow, seq + 1)
-            self._record(t, REC_SEND, flow, seq, size)
-
-        if self.queue.offer(pkt, t):
-            occ = self._note_queue(t)
-            self._record(t, REC_ENQ, flow, seq, size, occ)
-            if not self.queue.busy:
-                self._start_service(t)
-        else:
-            m.dropped_total += 1
-            if pw:
-                m.dropped += 1
-                for tag, nbytes in breakdown.items():
-                    m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
-                    m.media_dropped_bytes[tag] = m.media_dropped_bytes.get(tag, 0.0) + nbytes
-            self._record(t, REC_DROP, flow, seq, size)
-            if self.tcp is not None and flow == self.tcp.flow:
-                self._tcp_drop(t)
-
-    def _handle_link_done(self, t: int) -> None:
-        pkt = self.queue.finish_service()
-        occ = self._note_queue(t)
-        self._record(t, REC_DEQ, pkt[0], pkt[1], pkt[2], occ)
-        self._push(t + self.tau_ns, EV_DELIVER, pkt[0], pkt)
-        if self.queue.packets:
-            self._start_service(t)
-
-    def _handle_deliver(self, t: int, pkt) -> None:
-        flow, seq, size, created, breakdown = pkt
-        m = self.metrics[flow]
-        m.delivered_total += 1
-        self._record(t, REC_DELIV, flow, seq, size)
-        if t >= self.warmup_ns:
-            m.delivered += 1
-            for tag, nbytes in breakdown.items():
-                m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
-            delay_ns = t - created
-            delay = delay_ns / 1e9
-            if m.min_delay is None or delay < m.min_delay:
-                m.min_delay = delay
-            if m.max_delay is None or delay > m.max_delay:
-                m.max_delay = delay
-            if m.last_delay is not None:
-                jit = delay - m.last_delay
-                if jit > m.max_positive_jitter:
-                    m.max_positive_jitter = jit
-            m.last_delay = delay
-            cyc = self.cur_cycle
-            if cyc is not None:
-                name = self.names[flow]
-                cur = cyc.flow_delay_min.get(name)
-                if cur is None or delay < cur:
-                    cyc.flow_delay_min[name] = delay
-                cur = cyc.flow_delay_max.get(name)
-                if cur is None or delay > cur:
-                    cyc.flow_delay_max[name] = delay
-
-        if self.rcv is not None and flow == self.tcp.flow:
-            ack = self.rcv.on_data(seq)
-            if ack is not None:
-                self._push(t + self.tau_ns, EV_ACK, flow, ack)
-
-    def _handle_ack(self, t: int, ack_seq: int) -> None:
-        tcp = self.tcp
-        before = tcp.cwnd
-        self._record(t, REC_ACK, tcp.flow, ack_seq, ACK_SIZE)
-        sends = tcp.on_ack(ack_seq, t)
-        if tcp.cwnd != before:
-            self._record(t, REC_WIN, tcp.flow, ack_seq, 0)
-        cyc = self.cur_cycle
-        if cyc is not None and tcp.cwnd < cyc.w_min:
-            cyc.w_min = tcp.cwnd
-        self._emit_tcp(t, sends)
-
-    # -- main loop ----------------------------------------------------------
-
     def execute(self) -> Trace:
-        if self.duration_ns > 0:
-            for flow, arrivals in enumerate(self.arrivals):
-                if arrivals is not None:
-                    self._push_arrival(flow, 0)
-            if self.tcp is not None:
-                self._emit_tcp(0, self.tcp.initial_sends())
-                self._push(RTO_NS, EV_RTO, 0, None)
+        queue = self.queue
+        offer, occupancy = queue.offer, queue.occupancy
+        start_next, finish_service = queue.start_next, queue.finish_service
+        waiting = queue.packets
+        capacity = queue.capacity
+        names, metrics = self.names, self.metrics
+        records = self.records
+        rec = records.append if records is not None else None
+        duration_ns, warmup_ns, tau_ns = self.duration_ns, self.warmup_ns, self.tau_ns
+        ns_per_byte = self.ns_per_byte
+        tcp, rcv = self.tcp, self.rcv
+        tcp_id = tcp.flow if tcp is not None else -1
+        tcp_breakdown = {"tcp-data": tcp.size} if tcp is not None else None
 
-        heap = self.heap
-        duration_ns = self.duration_ns
-        while heap:
-            if heap[0][0] > duration_ns:
+        # the next arrival of each open-loop flow and the TCP packets sent
+        # but not yet queued, as (t, flow, seq, size, breakdown); no two
+        # entries share (t, flow, seq), so the payload is never compared
+        heap: list = []
+        deliveries: deque = deque()  # (t, pkt): completion + tau, FIFO
+        acks: deque = deque()  # (t, ack_seq): delivery + tau, FIFO
+        never = duration_ns + 1
+        link_t = never  # completion of the packet in service
+        rto_t = never
+        streams = [None if s.flow == tcp_id else s.arrivals() for s in self.sim.sources]
+        q_min_pw = q_max_pw = None
+        cyc = None  # self.cur_cycle, rebound after each TCP drop
+        work_violations = 0
+
+        def emit_tcp(t, sends):
+            for seq, _retx in sends:
+                if rec:
+                    rec((t, REC_SEND, tcp_id, seq, tcp.size, occupancy(t), tcp.cwnd))
+                heappush(heap, (t, tcp_id, seq, tcp.size, tcp_breakdown))
+
+        if duration_ns > 0:
+            for flow, stream in enumerate(streams):
+                nxt = next(stream, None) if stream is not None else None
+                if nxt is not None:
+                    heappush(heap, (nxt[0], flow, 0, nxt[1], nxt[2]))
+            if tcp is not None:
+                emit_tcp(0, tcp.initial_sends())
+                rto_t = RTO_NS
+
+        while True:
+            # the earliest of the five heads; strict < leaves a tie to the
+            # first kind in the order link completion, arrival, delivery,
+            # ACK, RTO
+            t = link_t
+            kind = 0
+            if heap and heap[0][0] < t:
+                t = heap[0][0]
+                kind = 1
+            if deliveries and deliveries[0][0] < t:
+                t = deliveries[0][0]
+                kind = 2
+            if acks and acks[0][0] < t:
+                t = acks[0][0]
+                kind = 3
+            if rto_t < t:
+                t = rto_t
+                kind = 4
+            if t > duration_ns:
                 break
-            t, kind, sub, _cnt, payload = heappop(heap)
-            if kind == EV_ARRIVE:
-                self._handle_arrive(t, payload)
-            elif kind == EV_LINK_DONE:
-                self._handle_link_done(t)
-            elif kind == EV_DELIVER:
-                self._handle_deliver(t, payload)
-            elif kind == EV_ACK:
-                self._handle_ack(t, payload)
-            else:  # EV_RTO
-                self._emit_tcp(t, self.tcp.on_timeout(t))
-                nxt = t + RTO_NS
-                if nxt <= duration_ns:
-                    self._push(nxt, EV_RTO, 0, None)
-            if self.queue.packets and not self.queue.busy:
-                self.work_violations += 1
 
-        # census of packets still inside the system, for conservation checks
-        names = self.names
-        in_flight = {name: 0 for name in names}
-        for pkt in self.queue.packets:
-            in_flight[names[pkt[0]]] += 1
-        if self.queue.in_service is not None:
-            in_flight[names[self.queue.in_service[0]]] += 1
-        for t, kind, _sub, _cnt, payload in heap:
-            if kind == EV_DELIVER:
-                in_flight[names[payload[0]]] += 1
+            if kind < 2:
+                if kind == 0:  # link completion
+                    pkt = finish_service()
+                    link_t = never
+                    deliveries.append((t + tau_ns, pkt))
+                    code = REC_DEQ
+                else:  # arrival at the queue
+                    _, flow, seq, size, breakdown = heap[0]
+                    stream = streams[flow]
+                    nxt = next(stream, None) if stream is not None else None
+                    if nxt is not None:
+                        heapreplace(heap, (nxt[0], flow, seq + 1, nxt[1], nxt[2]))
+                    else:
+                        heappop(heap)
+                    m = metrics[flow]
+                    m.created_total += 1
+                    pw = t >= warmup_ns
+                    if pw:
+                        m.created += 1
+                    if rec and stream is not None:
+                        rec((t, REC_SEND, flow, seq, size, occupancy(t), None))
+                    pkt = (flow, seq, size, t, breakdown)
+                    code = REC_ENQ
+                    if not offer(pkt, t):
+                        m.dropped_total += 1
+                        if pw:
+                            m.dropped += 1
+                            for tag, nbytes in breakdown.items():
+                                m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
+                                m.media_dropped_bytes[tag] = (
+                                    m.media_dropped_bytes.get(tag, 0.0) + nbytes
+                                )
+                        if rec:
+                            rec((t, REC_DROP, flow, seq, size, occupancy(t),
+                                 tcp.cwnd if flow == tcp_id else None))
+                        if flow == tcp_id:
+                            self._tcp_drop(t)
+                            cyc = self.cur_cycle
+                        pkt = None
+                if pkt is not None:  # the queue gained or lost a packet
+                    occ = occupancy(t)
+                    if occ > capacity:
+                        raise SimulationError("queue occupancy exceeded capacity")
+                    if t >= warmup_ns:
+                        if q_min_pw is None or occ < q_min_pw:
+                            q_min_pw = occ
+                        if q_max_pw is None or occ > q_max_pw:
+                            q_max_pw = occ
+                    if cyc is not None:
+                        if occ < cyc.q_min:
+                            cyc.q_min = occ
+                        if occ > cyc.q_max:
+                            cyc.q_max = occ
+                    if rec:
+                        rec((t, code, pkt[0], pkt[1], pkt[2], occ,
+                             tcp.cwnd if pkt[0] == tcp_id else None))
+                    if waiting and queue.in_service is None:
+                        link_t = t + int(start_next(t)[2] * ns_per_byte + 0.5)
+
+            elif kind == 2:  # delivery at the receiver
+                flow, seq, size, created, breakdown = deliveries.popleft()[1]
+                m = metrics[flow]
+                m.delivered_total += 1
+                if rec:
+                    rec((t, REC_DELIV, flow, seq, size, occupancy(t),
+                         tcp.cwnd if flow == tcp_id else None))
+                if t >= warmup_ns:
+                    m.delivered += 1
+                    for tag, nbytes in breakdown.items():
+                        m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
+                    delay = (t - created) / 1e9
+                    if m.min_delay is None or delay < m.min_delay:
+                        m.min_delay = delay
+                    if m.max_delay is None or delay > m.max_delay:
+                        m.max_delay = delay
+                    if m.last_delay is not None:
+                        jit = delay - m.last_delay
+                        if jit > m.max_positive_jitter:
+                            m.max_positive_jitter = jit
+                    m.last_delay = delay
+                    if cyc is not None:
+                        name = names[flow]
+                        cur = cyc.flow_delay_min.get(name)
+                        if cur is None or delay < cur:
+                            cyc.flow_delay_min[name] = delay
+                        cur = cyc.flow_delay_max.get(name)
+                        if cur is None or delay > cur:
+                            cyc.flow_delay_max[name] = delay
+                if flow == tcp_id:
+                    ack = rcv.on_data(seq)
+                    if ack is not None:
+                        acks.append((t + tau_ns, ack))
+
+            elif kind == 3:  # ACK at the TCP sender
+                ack_seq = acks.popleft()[1]
+                before = tcp.cwnd
+                if rec:
+                    rec((t, REC_ACK, tcp_id, ack_seq, ACK_SIZE, occupancy(t), before))
+                sends = tcp.on_ack(ack_seq, t)
+                if rec and tcp.cwnd != before:
+                    rec((t, REC_WIN, tcp_id, ack_seq, 0, occupancy(t), tcp.cwnd))
+                if cyc is not None and tcp.cwnd < cyc.w_min:
+                    cyc.w_min = tcp.cwnd
+                emit_tcp(t, sends)
+
+            else:  # RTO timer
+                emit_tcp(t, tcp.on_timeout(t))
+                rto_t = t + RTO_NS
+
+            if waiting and queue.in_service is None:
+                work_violations += 1
+
+        # census of packets still inside the system, then per-flow conservation
+        in_flight = [0] * len(names)
+        for pkt in waiting:
+            in_flight[pkt[0]] += 1
+        if queue.in_service is not None:
+            in_flight[queue.in_service[0]] += 1
+        for _t, pkt in deliveries:
+            in_flight[pkt[0]] += 1
+        for m, inside in zip(metrics, in_flight):
+            if m.created_total != m.delivered_total + m.dropped_total + inside:
+                raise SimulationError(
+                    f"flow {m.flow}: {m.created_total} packets created, but "
+                    f"{m.delivered_total} delivered + {m.dropped_total} dropped "
+                    f"+ {inside} in flight"
+                )
 
         return Trace(
             config=self.sim.config,
-            duration=self.duration_ns / 1e9,
-            warmup=self.warmup_ns / 1e9,
-            metrics={names[i]: m for i, m in enumerate(self.metrics)},
+            duration=duration_ns / 1e9,
+            warmup=warmup_ns / 1e9,
+            metrics=dict(zip(names, metrics)),
             cycles=self.cycles,
-            records=self.records,
-            queue_min_pw=self.queue_min_pw,
-            queue_max_pw=self.queue_max_pw,
-            work_violations=self.work_violations,
-            in_flight_end=in_flight,
+            records=records,
+            queue_min_pw=q_min_pw,
+            queue_max_pw=q_max_pw,
+            work_violations=work_violations,
+            in_flight_end=dict(zip(names, in_flight)),
         )
 
 

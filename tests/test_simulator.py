@@ -11,16 +11,20 @@ from teleqos import (
     FlowSpec,
     NetworkParams,
     ScenarioConfig,
+    baseline_text,
     build_simulator,
     delay_bounds,
     extract_cycles,
+    parse_scenario,
     run,
 )
 from teleqos.simulator import (
     CA,
     FR,
+    ConfigError,
     DropTailQueue,
     InsufficientCycles,
+    SimulationError,
     TcpSource,
     UnknownFlow,
 )
@@ -168,6 +172,92 @@ def test_conservation_capacity_work_conservation():
             assert m.created_total == (
                 m.delivered_total + m.dropped_total + trace.in_flight_end[name]
             ), name
+
+
+def test_conservation_with_packets_on_the_delivery_line():
+    # 50 ms of the shipped scenario ends with packets still crossing the
+    # tau = 8 ms link: the end census must count them
+    trace = run(build_simulator(parse_scenario(baseline_text()), 0.05), record=True)
+    on_line = {name: 0 for name in trace.metrics}
+    inside = dict(on_line)
+    for row in trace.to_csv().splitlines()[1:]:
+        event, flow = row.split(",")[1:3]
+        step = {"enqueue": (0, 1), "dequeue": (1, 0), "deliver": (-1, -1)}.get(event)
+        if step:
+            on_line[flow] += step[0]
+            inside[flow] += step[1]
+    assert any(on_line.values())
+    assert trace.in_flight_end == inside
+    for name, m in trace.metrics.items():
+        assert m.created_total == m.delivered_total + m.dropped_total + trace.in_flight_end[name]
+
+
+def test_conservation_failure_raises(base_scenario, monkeypatch):
+    # a queue that admits packets while busy but never holds them breaks
+    # the ledger, and the engine must say so instead of returning a trace
+    offer = DropTailQueue.offer
+
+    def leaky_offer(self, pkt, t=0):
+        return True if self.in_service is not None else offer(self, pkt, t)
+
+    monkeypatch.setattr(DropTailQueue, "offer", leaky_offer)
+    with pytest.raises(SimulationError, match="in flight"):
+        run(build_simulator(base_scenario, 0.5), warmup=0.0)
+
+
+def _events_at(trace) -> dict[int, list[tuple[str, str]]]:
+    by_time: dict[int, list[tuple[str, str]]] = {}
+    for row in trace.to_csv().splitlines()[1:]:
+        t, event, flow = row.split(",")[:3]
+        by_time.setdefault(int(t), []).append((event, flow))
+    return by_time
+
+
+def test_equal_instant_arrivals_go_in_flow_order(base_net):
+    # two CBR flows with one phase and gap arrive together every 1 ms;
+    # the lower flow id ("zeta", declared first) is sent and queued first
+    flows = (
+        FlowSpec(name="zeta", kind="cbr", rate=100e3, packet=100.0, gap=1e-3),
+        FlowSpec(name="alpha", kind="cbr", rate=150e3, packet=150.0, gap=1e-3),
+    )
+    cfg = ScenarioConfig(net=base_net, flows=flows, duration=0.2, warmup=0.0)
+    shared = 0
+    for events in _events_at(run(build_simulator(cfg), record=True)).values():
+        queued = [e for e in events if e[0] in ("send", "enqueue")]
+        if len(queued) > 2:
+            shared += 1
+            assert queued == [("send", "zeta"), ("enqueue", "zeta"),
+                              ("send", "alpha"), ("enqueue", "alpha")]
+    assert shared == 201  # t = 0, 1, ..., 200 ms
+
+
+def test_link_completion_precedes_arrival_at_the_same_instant():
+    # 100 B every 100 us on a 1 B/us link: each packet's service ends at
+    # the instant the next one arrives, so the dequeue comes first and the
+    # arrival finds the queue empty
+    net = NetworkParams(mu=1e6, tau=1e-3, buf=1000.0, s_tcp=578.0, n_ack=1)
+    flows = (FlowSpec(name="cbr", kind="cbr", rate=1e6, packet=100.0, gap=1e-4),)
+    cfg = ScenarioConfig(net=net, flows=flows, duration=0.1, warmup=0.0)
+    trace = run(build_simulator(cfg), record=True)
+    together = 0
+    for events in _events_at(trace).values():
+        kinds = [e[0] for e in events]
+        if "dequeue" in kinds and "send" in kinds:
+            together += 1
+            assert kinds.index("dequeue") < kinds.index("send") < kinds.index("enqueue")
+    assert together == 1000  # t = 0.1, 0.2, ..., 100 ms
+    assert trace.queue_max_pw == 100
+
+
+@pytest.mark.parametrize("mu, packet", [(6 * MBPS, 0.3), (1e10, 1.0)])
+def test_build_rejects_packet_shorter_than_a_clock_tick(base_net, mu, packet):
+    # a packet the link serializes in under 1 ns would complete at the
+    # instant it started, which the nanosecond clock cannot order
+    flows = (FlowSpec(name="tiny", kind="cbr", rate=packet / 1e-3, packet=packet, gap=1e-3),)
+    net = NetworkParams(mu=mu, tau=1e-3, buf=14000.0, s_tcp=578.0, n_ack=1)
+    cfg = ScenarioConfig(net=net, flows=flows, duration=0.1, warmup=0.0)
+    with pytest.raises(ConfigError, match="under 1 ns"):
+        build_simulator(cfg)
 
 
 def test_determinism_byte_identical_traces(base_scenario):

@@ -1,11 +1,14 @@
 """Validation runner, report emission and the command-line interface."""
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import teleqos
 from teleqos import (
     baseline_text,
     build_simulator,
@@ -200,8 +203,12 @@ def test_cli_rates_without_adaptive_flow(tmp_path, capsys):
 
 
 def test_cli_entrypoint_runs():
+    # the subprocess imports the same teleqos as this test, installed or not
+    src = str(Path(teleqos.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "teleqos.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "teleqos.cli", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout
