@@ -1,7 +1,9 @@
 """Golden trace digests: the sha256 of the raw event trace of three short
-runs. Any change to the engine's event order, arithmetic or record format
-shows up here; a refactor that keeps these digests keeps the traces
-byte-identical."""
+runs, and of the loss-cycle table each run segments. Any change to the
+engine's event order, arithmetic or record format shows up here; a
+refactor that keeps these digests keeps the traces byte-identical and the
+cycles (bounds, queue and window extremes, merged losses, per-flow delay
+extremes) unchanged."""
 
 import hashlib
 from dataclasses import replace
@@ -49,12 +51,33 @@ GOLDEN = {
     ),
 }
 
+# sha256 of each run's cycle table, one repr line per cycle (8 or 9 cycles
+# of 2 to 4 merged TCP drops each)
+GOLDEN_CYCLES = {
+    "baseline": "a7af8ec712c42c66be52629c9bf7cd1c5814a01448e6d923cd37414e2773c575",
+    "adaptive-contact-burst": "a38c3b2c0ce7f43964cad5f6ff6f09589794191560fd8f38de90260d127bf3e0",
+    "n_ack-2-load-0.6": "f27eb59056270b88c2acf90e18083c6d7fa476935275b900655e56350ec38984",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trace_digest(name):
     make, digest = GOLDEN[name]
     trace = run(build_simulator(make(), 5.0), warmup=1.0, record=True)
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_cycle_digest(name):
+    trace = run(build_simulator(GOLDEN[name][0](), 5.0), warmup=1.0)
+    table = "".join(
+        repr((
+            c.start_ns, c.end_ns, c.q_min, c.q_max, c.w_min, c.losses,
+            sorted(c.flow_delay_min.items()), sorted(c.flow_delay_max.items()),
+        )) + "\n"
+        for c in trace.cycles
+    )
+    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_CYCLES[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
