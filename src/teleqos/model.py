@@ -206,10 +206,6 @@ class ValidityFlags:
     full_utilization: bool
     single_loss: bool
 
-    @property
-    def all_ok(self) -> bool:
-        return self.stability and self.full_utilization and self.single_loss
-
 
 @dataclass
 class ConditionResult:

@@ -11,7 +11,6 @@ generators stand in for device recordings.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -235,29 +234,3 @@ def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) 
     mean = float(cum[-1] / span)
     return RateSeries(times=grid, rates=rates, peak=float(rates.max()), mean=mean)
 
-
-def write_trace_csv(path: str, samples: np.ndarray) -> None:
-    """Write a haptic trace as time_ms,fx,fy,fz rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_ms", "fx", "fy", "fz"])
-        for i, row in enumerate(np.asarray(samples, dtype=float)):
-            w.writerow([i, repr(float(row[0])), repr(float(row[1])), repr(float(row[2]))])
-
-
-def read_trace_csv(path: str) -> np.ndarray:
-    """Read a time_ms,fx,fy,fz trace; samples must sit on the 1 ms grid."""
-    out = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header] != ["time_ms", "fx", "fy", "fz"]:
-            raise InvalidSignalSpec(f"{path}: expected header time_ms,fx,fy,fz")
-        for lineno, row in enumerate(r, start=2):
-            if len(row) != 4:
-                raise InvalidSignalSpec(f"{path}:{lineno}: expected 4 columns")
-            t, fx, fy, fz = row
-            if abs(float(t) - round(float(t))) > 1e-6:
-                raise InvalidSignalSpec(f"{path}:{lineno}: sample off the 1 ms grid")
-            out.append([float(fx), float(fy), float(fz)])
-    return np.array(out)

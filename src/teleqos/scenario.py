@@ -66,8 +66,9 @@ class FlowSpec:
 
     Fixed-rate kinds (cbr, telehaptic) need rate and packet; gap defaults
     to packet/rate. Adaptive flows are driven by a deadband-filtered
-    synthetic signal multiplexed with video. TCP flows take their packet
-    size from the network parameters.
+    synthetic signal multiplexed with video. TCP flows send s_tcp-byte
+    packets from the network parameters and start at time 0. A key the
+    flow's kind does not use is rejected rather than ignored.
     """
 
     name: str
@@ -90,6 +91,15 @@ class FlowSpec:
                 raise ScenarioSemanticError(f"flow {self.name!r}: {key} must be finite, got {value}")
         if self.phase < 0:
             raise ScenarioSemanticError(f"flow {self.name!r}: phase must be >= 0")
+        # a key the kind does not use is an error, never silently ignored
+        unused = ("rate", "packet", "gap") if self.kind in ("tcp", "adaptive") else ()
+        if self.kind != "adaptive":
+            unused += ("deadband", "video_rate", "signal")
+        if self.kind == "tcp" and self.phase:
+            unused += ("phase",)
+        for key in unused:
+            if getattr(self, key) is not None:
+                raise ScenarioSemanticError(f"flow {self.name!r}: a {self.kind} flow takes no {key}")
         if self.kind in ("cbr", "telehaptic"):
             if self.rate is None or self.rate <= 0:
                 raise ScenarioSemanticError(f"flow {self.name!r}: needs a positive rate")

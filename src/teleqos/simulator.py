@@ -9,6 +9,12 @@ cumulative ACKs (every n-th packet) over an uncongested reverse path with
 the same tau. The clock is integer nanoseconds and the engine contains no
 randomness, so identical scenarios produce byte-identical traces.
 
+`run()` is the engine: one function owns the event loop, its metrics and
+its loss-cycle state. It raises SimulationError rather than return a trace
+when a post-condition breaks: a flow's conservation ledger does not
+balance, the queue exceeds its capacity, or the link idles with packets
+waiting.
+
 Pending events live in five places. Arrivals at the queue (the next
 packet of each open-loop source and TCP packets just sent) wait in a heap
 keyed (time, flow id, sequence). The link holds every packet for at least
@@ -16,7 +22,7 @@ keyed (time, flow id, sequence). The link holds every packet for at least
 completion by tau and each ACK its delivery by tau, so deliveries and ACKs
 wait in two FIFO delay lines (deques) already in time order. The one
 pending link completion and the retransmission timer are plain times.
-The engine takes the earliest head of the five; at equal timestamps the
+The loop takes the earliest head of the five; at equal timestamps the
 order is link completion, then queue arrival (lowest flow id, then
 sequence), then delivery, then ACK, then the timer. A source's
 transmission enters the queue at the same instant it is emitted
@@ -169,21 +175,19 @@ class TcpSource:
     def outstanding(self) -> int:
         return self.next_seq - 1 - self.high_ack
 
-    def _new_sends(self, budget: int | None = None) -> list[tuple[int, bool]]:
+    def _new_sends(self, budget: int | None = None) -> list[int]:
+        """Sequence numbers of the new packets the window admits now."""
         sends = []
         if budget is None:
             budget = self.max_burst
         limit = math.floor(self.cwnd + 1e-9)
         while self.outstanding < limit and len(sends) < budget:
-            sends.append((self.next_seq, False))
+            sends.append(self.next_seq)
             self.next_seq += 1
         return sends
 
-    def initial_sends(self) -> list[tuple[int, bool]]:
-        return self._new_sends()
-
-    def on_ack(self, ack_seq: int, now_ns: int) -> list[tuple[int, bool]]:
-        """Process one cumulative ACK; returns (seq, is_retransmit) to emit now."""
+    def on_ack(self, ack_seq: int, now_ns: int) -> list[int]:
+        """Process one cumulative ACK; returns the sequence numbers to emit now."""
         if ack_seq > self.next_seq - 1:
             return []  # malformed: acknowledges data never sent
         if ack_seq > self.high_ack:
@@ -201,7 +205,7 @@ class TcpSource:
                 # partial ACK: the next hole was also lost; retransmit it,
                 # deflate the inflated window by the amount acknowledged
                 self.cwnd = max(self.ssthresh, self.cwnd - newly + 1.0)
-                return [(self.high_ack + 1, True)] + self._new_sends(self.max_burst - 1)
+                return [self.high_ack + 1] + self._new_sends(self.max_burst - 1)
             if self.phase == SS:
                 self.cwnd += newly
                 if self.cwnd >= self.ssthresh:
@@ -224,14 +228,14 @@ class TcpSource:
             self.recover = self.next_seq - 1
             self.phase = FR
             self.cwnd = self.ssthresh + 3.0
-            return [(self.high_ack + 1, True)]
+            return [self.high_ack + 1]
         return []
 
-    def on_timeout(self, now_ns: int) -> list[tuple[int, bool]]:
+    def on_timeout(self, now_ns: int) -> list[int]:
         if self.outstanding == 0 or now_ns - self.last_progress_ns < RTO_NS:
             return []
         self.last_progress_ns = now_ns
-        return [(self.high_ack + 1, True)]
+        return [self.high_ack + 1]
 
 
 class TcpReceiver:
@@ -333,23 +337,23 @@ class CycleStats:
     cycles: list[CycleRecord]
     q_min_mean: float
     q_max_mean: float
-    w_min_mean: float
     period_mean: float
-    losses_per_cycle: float
     stationary: bool  # cycle-to-cycle q_min within 10% of the mean
 
     def observed_d_min(self, flow: str) -> float:
         """Mean over cycles of the per-cycle minimum delay of `flow`, seconds."""
-        vals = [c.flow_delay_min[flow] for c in self.cycles if flow in c.flow_delay_min]
-        if not vals:
-            raise UnknownFlow(flow)
-        return sum(vals) / len(vals)
+        return _cycle_mean([c.flow_delay_min for c in self.cycles], flow)
 
     def observed_d_max(self, flow: str) -> float:
-        vals = [c.flow_delay_max[flow] for c in self.cycles if flow in c.flow_delay_max]
-        if not vals:
-            raise UnknownFlow(flow)
-        return sum(vals) / len(vals)
+        """Mean over cycles of the per-cycle maximum delay of `flow`, seconds."""
+        return _cycle_mean([c.flow_delay_max for c in self.cycles], flow)
+
+
+def _cycle_mean(per_cycle: list[dict], flow: str) -> float:
+    vals = [delays[flow] for delays in per_cycle if flow in delays]
+    if not vals:
+        raise UnknownFlow(flow)
+    return sum(vals) / len(vals)
 
 
 @dataclass
@@ -364,7 +368,7 @@ class Trace:
     records: list | None
     queue_min_pw: int | None
     queue_max_pw: int | None
-    work_violations: int
+    work_violations: int  # always 0: run() raises at the first idle-link violation
     in_flight_end: dict[str, int]
 
     def to_csv(self) -> str:
@@ -411,9 +415,7 @@ def extract_cycles(trace: Trace) -> CycleStats:
         cycles=cycles,
         q_min_mean=q_mean,
         q_max_mean=sum(c.q_max for c in cycles) / len(cycles),
-        w_min_mean=sum(c.w_min for c in cycles) / len(cycles),
         period_mean=sum(c.period for c in cycles) / len(cycles),
-        losses_per_cycle=sum(c.losses for c in cycles) / len(cycles),
         stationary=stationary,
     )
 
@@ -450,7 +452,6 @@ class Simulator:
 
     config: ScenarioConfig
     sources: tuple[_Source, ...]
-    tcp_flow: int | None
     horizon: float
 
 
@@ -477,13 +478,10 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
     if not 0 <= horizon < math.inf:
         raise ConfigError("duration: must be finite and >= 0")
     sources: list[_Source] = []
-    tcp_flow = None
     adaptive_mean = 0.0
     for idx, flow in enumerate(config.flows):
         if flow.kind == "tcp":
-            tcp_flow = idx
-            size = int(round(flow.packet if flow.packet else config.net.s_tcp))
-            sources.append(_Source(idx, "tcp", size=size))
+            sources.append(_Source(idx, "tcp", size=int(round(config.net.s_tcp))))
         elif flow.kind in ("cbr", "telehaptic"):
             sources.append(
                 _Source(
@@ -510,272 +508,18 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
                 f"under 1 ns on the link; the nanosecond clock needs at least 1 ns"
             )
 
-    if tcp_flow is not None:
+    if any(src.kind == "tcp" for src in sources):
         total = config.fixed_cbr_rate + adaptive_mean
         if total >= config.net.mu:
             raise ConfigError(
                 f"flows: aggregate CBR rate {total:.6g} B/s (incl. adaptive mean) "
                 f">= link capacity {config.net.mu:.6g} B/s with a TCP source present"
             )
-    return Simulator(config, tuple(sources), tcp_flow, horizon)
+    return Simulator(config, tuple(sources), horizon)
 
 
 # --------------------------------------------------------------------------
 # the event loop
-
-
-class _Engine:
-    def __init__(self, sim: Simulator, warmup: float, record: bool):
-        cfg = sim.config
-        self.sim = sim
-        self.duration_ns = _ns(sim.horizon)
-        self.warmup_ns = _ns(warmup)
-        self.ns_per_byte = 1e9 / cfg.net.mu
-        self.tau_ns = _ns(cfg.net.tau)
-        self.queue = DropTailQueue(int(round(cfg.net.buf)), cfg.net.mu)
-        self.records: list | None = [] if record else None
-
-        self.names = [f.name for f in cfg.flows]
-        self.metrics = [FlowMetrics(flow=name) for name in self.names]
-
-        self.tcp: TcpSource | None = None
-        self.rcv: TcpReceiver | None = None
-        if sim.tcp_flow is not None:
-            self.tcp = TcpSource(sim.tcp_flow, sim.sources[sim.tcp_flow].size, cfg.net.n_ack)
-            self.rcv = TcpReceiver(cfg.net.n_ack)
-
-        # cycle segmentation at TCP queue-overflow drops; drops closer than
-        # one worst-case RTT belong to the same overflow event
-        self.merge_gap_ns = _ns(2 * cfg.net.tau + cfg.net.buf / cfg.net.mu)
-        self.last_tcp_drop_ns: int | None = None
-        self.cycles: list[CycleRecord] = []
-        self.cur_cycle: CycleRecord | None = None
-
-    def _tcp_drop(self, t: int) -> None:
-        """Count a TCP overflow loss: it joins the current loss event if it
-        follows the previous TCP drop within the merge gap, else it closes
-        the running cycle and opens the next one."""
-        last, self.last_tcp_drop_ns = self.last_tcp_drop_ns, t
-        cyc = self.cur_cycle
-        if last is not None and t - last <= self.merge_gap_ns:
-            if cyc is not None:
-                cyc.losses += 1
-            return
-        if cyc is not None and cyc.start_ns >= self.warmup_ns:
-            cyc.end_ns = t
-            self.cycles.append(cyc)
-        occ = self.queue.occupancy(t)
-        self.cur_cycle = CycleRecord(
-            start_ns=t, end_ns=t, q_min=occ, q_max=occ,
-            w_min=self.tcp.cwnd, losses=1,
-            flow_delay_min={}, flow_delay_max={},
-        )
-
-    def execute(self) -> Trace:
-        queue = self.queue
-        offer, occupancy = queue.offer, queue.occupancy
-        start_next, finish_service = queue.start_next, queue.finish_service
-        waiting = queue.packets
-        capacity = queue.capacity
-        names, metrics = self.names, self.metrics
-        records = self.records
-        rec = records.append if records is not None else None
-        duration_ns, warmup_ns, tau_ns = self.duration_ns, self.warmup_ns, self.tau_ns
-        ns_per_byte = self.ns_per_byte
-        tcp, rcv = self.tcp, self.rcv
-        tcp_id = tcp.flow if tcp is not None else -1
-        tcp_breakdown = {"tcp-data": tcp.size} if tcp is not None else None
-
-        # the next arrival of each open-loop flow and the TCP packets sent
-        # but not yet queued, as (t, flow, seq, size, breakdown); no two
-        # entries share (t, flow, seq), so the payload is never compared
-        heap: list = []
-        deliveries: deque = deque()  # (t, pkt): completion + tau, FIFO
-        acks: deque = deque()  # (t, ack_seq): delivery + tau, FIFO
-        never = duration_ns + 1
-        link_t = never  # completion of the packet in service
-        rto_t = never
-        streams = [None if s.flow == tcp_id else s.arrivals() for s in self.sim.sources]
-        q_min_pw = q_max_pw = None
-        cyc = None  # self.cur_cycle, rebound after each TCP drop
-        work_violations = 0
-
-        def emit_tcp(t, sends):
-            for seq, _retx in sends:
-                if rec:
-                    rec((t, REC_SEND, tcp_id, seq, tcp.size, occupancy(t), tcp.cwnd))
-                heappush(heap, (t, tcp_id, seq, tcp.size, tcp_breakdown))
-
-        if duration_ns > 0:
-            for flow, stream in enumerate(streams):
-                nxt = next(stream, None) if stream is not None else None
-                if nxt is not None:
-                    heappush(heap, (nxt[0], flow, 0, nxt[1], nxt[2]))
-            if tcp is not None:
-                emit_tcp(0, tcp.initial_sends())
-                rto_t = RTO_NS
-
-        while True:
-            # the earliest of the five heads; strict < leaves a tie to the
-            # first kind in the order link completion, arrival, delivery,
-            # ACK, RTO
-            t = link_t
-            kind = 0
-            if heap and heap[0][0] < t:
-                t = heap[0][0]
-                kind = 1
-            if deliveries and deliveries[0][0] < t:
-                t = deliveries[0][0]
-                kind = 2
-            if acks and acks[0][0] < t:
-                t = acks[0][0]
-                kind = 3
-            if rto_t < t:
-                t = rto_t
-                kind = 4
-            if t > duration_ns:
-                break
-
-            if kind < 2:
-                if kind == 0:  # link completion
-                    pkt = finish_service()
-                    link_t = never
-                    deliveries.append((t + tau_ns, pkt))
-                    code = REC_DEQ
-                else:  # arrival at the queue
-                    _, flow, seq, size, breakdown = heap[0]
-                    stream = streams[flow]
-                    nxt = next(stream, None) if stream is not None else None
-                    if nxt is not None:
-                        heapreplace(heap, (nxt[0], flow, seq + 1, nxt[1], nxt[2]))
-                    else:
-                        heappop(heap)
-                    m = metrics[flow]
-                    m.created_total += 1
-                    pw = t >= warmup_ns
-                    if pw:
-                        m.created += 1
-                    if rec and stream is not None:
-                        rec((t, REC_SEND, flow, seq, size, occupancy(t), None))
-                    pkt = (flow, seq, size, t, breakdown)
-                    code = REC_ENQ
-                    if not offer(pkt, t):
-                        m.dropped_total += 1
-                        if pw:
-                            m.dropped += 1
-                            for tag, nbytes in breakdown.items():
-                                m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
-                                m.media_dropped_bytes[tag] = (
-                                    m.media_dropped_bytes.get(tag, 0.0) + nbytes
-                                )
-                        if rec:
-                            rec((t, REC_DROP, flow, seq, size, occupancy(t),
-                                 tcp.cwnd if flow == tcp_id else None))
-                        if flow == tcp_id:
-                            self._tcp_drop(t)
-                            cyc = self.cur_cycle
-                        pkt = None
-                if pkt is not None:  # the queue gained or lost a packet
-                    occ = occupancy(t)
-                    if occ > capacity:
-                        raise SimulationError("queue occupancy exceeded capacity")
-                    if t >= warmup_ns:
-                        if q_min_pw is None or occ < q_min_pw:
-                            q_min_pw = occ
-                        if q_max_pw is None or occ > q_max_pw:
-                            q_max_pw = occ
-                    if cyc is not None:
-                        if occ < cyc.q_min:
-                            cyc.q_min = occ
-                        if occ > cyc.q_max:
-                            cyc.q_max = occ
-                    if rec:
-                        rec((t, code, pkt[0], pkt[1], pkt[2], occ,
-                             tcp.cwnd if pkt[0] == tcp_id else None))
-                    if waiting and queue.in_service is None:
-                        link_t = t + int(start_next(t)[2] * ns_per_byte + 0.5)
-
-            elif kind == 2:  # delivery at the receiver
-                flow, seq, size, created, breakdown = deliveries.popleft()[1]
-                m = metrics[flow]
-                m.delivered_total += 1
-                if rec:
-                    rec((t, REC_DELIV, flow, seq, size, occupancy(t),
-                         tcp.cwnd if flow == tcp_id else None))
-                if t >= warmup_ns:
-                    m.delivered += 1
-                    for tag, nbytes in breakdown.items():
-                        m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
-                    delay = (t - created) / 1e9
-                    if m.min_delay is None or delay < m.min_delay:
-                        m.min_delay = delay
-                    if m.max_delay is None or delay > m.max_delay:
-                        m.max_delay = delay
-                    if m.last_delay is not None:
-                        jit = delay - m.last_delay
-                        if jit > m.max_positive_jitter:
-                            m.max_positive_jitter = jit
-                    m.last_delay = delay
-                    if cyc is not None:
-                        name = names[flow]
-                        cur = cyc.flow_delay_min.get(name)
-                        if cur is None or delay < cur:
-                            cyc.flow_delay_min[name] = delay
-                        cur = cyc.flow_delay_max.get(name)
-                        if cur is None or delay > cur:
-                            cyc.flow_delay_max[name] = delay
-                if flow == tcp_id:
-                    ack = rcv.on_data(seq)
-                    if ack is not None:
-                        acks.append((t + tau_ns, ack))
-
-            elif kind == 3:  # ACK at the TCP sender
-                ack_seq = acks.popleft()[1]
-                before = tcp.cwnd
-                if rec:
-                    rec((t, REC_ACK, tcp_id, ack_seq, ACK_SIZE, occupancy(t), before))
-                sends = tcp.on_ack(ack_seq, t)
-                if rec and tcp.cwnd != before:
-                    rec((t, REC_WIN, tcp_id, ack_seq, 0, occupancy(t), tcp.cwnd))
-                if cyc is not None and tcp.cwnd < cyc.w_min:
-                    cyc.w_min = tcp.cwnd
-                emit_tcp(t, sends)
-
-            else:  # RTO timer
-                emit_tcp(t, tcp.on_timeout(t))
-                rto_t = t + RTO_NS
-
-            if waiting and queue.in_service is None:
-                work_violations += 1
-
-        # census of packets still inside the system, then per-flow conservation
-        in_flight = [0] * len(names)
-        for pkt in waiting:
-            in_flight[pkt[0]] += 1
-        if queue.in_service is not None:
-            in_flight[queue.in_service[0]] += 1
-        for _t, pkt in deliveries:
-            in_flight[pkt[0]] += 1
-        for m, inside in zip(metrics, in_flight):
-            if m.created_total != m.delivered_total + m.dropped_total + inside:
-                raise SimulationError(
-                    f"flow {m.flow}: {m.created_total} packets created, but "
-                    f"{m.delivered_total} delivered + {m.dropped_total} dropped "
-                    f"+ {inside} in flight"
-                )
-
-        return Trace(
-            config=self.sim.config,
-            duration=duration_ns / 1e9,
-            warmup=warmup_ns / 1e9,
-            metrics=dict(zip(names, metrics)),
-            cycles=self.cycles,
-            records=records,
-            queue_min_pw=q_min_pw,
-            queue_max_pw=q_max_pw,
-            work_violations=work_violations,
-            in_flight_end=dict(zip(names, in_flight)),
-        )
 
 
 def run(sim: Simulator, warmup: float | None = None, record: bool = False) -> Trace:
@@ -783,9 +527,235 @@ def run(sim: Simulator, warmup: float | None = None, record: bool = False) -> Tr
 
     warmup defaults to the scenario's, capped at the horizon; metrics cover
     only events past the warmup, raw records (record=True) cover everything.
+    Raises SimulationError if the link idles while packets wait, the queue
+    exceeds its capacity, or a flow's packets do not balance at the end.
     """
+    cfg, net = sim.config, sim.config.net
     if warmup is None:
-        warmup = min(sim.config.effective_warmup, sim.horizon)
+        warmup = min(cfg.effective_warmup, sim.horizon)
     if not 0 <= warmup <= sim.horizon:
         raise ConfigError("run: need horizon >= warmup >= 0")
-    return _Engine(sim, warmup, record).execute()
+    duration_ns, warmup_ns, tau_ns = _ns(sim.horizon), _ns(warmup), _ns(net.tau)
+    ns_per_byte = 1e9 / net.mu
+    # TCP drops closer than one worst-case RTT belong to the same overflow
+    # event; each new event closes the running loss cycle and opens the next
+    merge_gap_ns = _ns(2 * net.tau + net.buf / net.mu)
+
+    queue = DropTailQueue(int(round(net.buf)), net.mu)
+    offer, occupancy = queue.offer, queue.occupancy
+    start_next, finish_service = queue.start_next, queue.finish_service
+    waiting = queue.packets
+    capacity = queue.capacity
+    names = [f.name for f in cfg.flows]
+    metrics = [FlowMetrics(flow=name) for name in names]
+    records: list | None = [] if record else None
+    rec = records.append if records is not None else None
+    tcp_id = next((src.flow for src in sim.sources if src.kind == "tcp"), -1)
+    tcp = rcv = tcp_breakdown = None
+    if tcp_id >= 0:
+        tcp = TcpSource(tcp_id, sim.sources[tcp_id].size, net.n_ack)
+        rcv = TcpReceiver(net.n_ack)
+        tcp_breakdown = {"tcp-data": tcp.size}
+
+    # the next arrival of each open-loop flow and the TCP packets sent
+    # but not yet queued, as (t, flow, seq, size, breakdown); no two
+    # entries share (t, flow, seq), so the payload is never compared
+    heap: list = []
+    deliveries: deque = deque()  # (t, pkt): completion + tau, FIFO
+    acks: deque = deque()  # (t, ack_seq): delivery + tau, FIFO
+    never = duration_ns + 1
+    link_t = never  # completion of the packet in service
+    rto_t = never
+    streams = [None if src.flow == tcp_id else src.arrivals() for src in sim.sources]
+    q_min_pw = q_max_pw = None
+    last_tcp_drop = None
+    cyc = None  # the loss cycle in progress
+    cycles: list[CycleRecord] = []  # closed cycles that started past the warmup
+
+    def emit_tcp(t, sends):
+        for seq in sends:
+            if rec:
+                rec((t, REC_SEND, tcp_id, seq, tcp.size, occupancy(t), tcp.cwnd))
+            heappush(heap, (t, tcp_id, seq, tcp.size, tcp_breakdown))
+
+    if duration_ns > 0:
+        for flow, stream in enumerate(streams):
+            nxt = next(stream, None) if stream is not None else None
+            if nxt is not None:
+                heappush(heap, (nxt[0], flow, 0, nxt[1], nxt[2]))
+        if tcp is not None:
+            emit_tcp(0, tcp._new_sends())
+            rto_t = RTO_NS
+
+    while True:
+        # the earliest of the five heads; strict < leaves a tie to the
+        # first kind in the order link completion, arrival, delivery,
+        # ACK, RTO
+        t = link_t
+        kind = 0
+        if heap and heap[0][0] < t:
+            t = heap[0][0]
+            kind = 1
+        if deliveries and deliveries[0][0] < t:
+            t = deliveries[0][0]
+            kind = 2
+        if acks and acks[0][0] < t:
+            t = acks[0][0]
+            kind = 3
+        if rto_t < t:
+            t = rto_t
+            kind = 4
+        if t > duration_ns:
+            break
+
+        if kind < 2:
+            if kind == 0:  # link completion
+                pkt = finish_service()
+                link_t = never
+                deliveries.append((t + tau_ns, pkt))
+                code = REC_DEQ
+            else:  # arrival at the queue
+                _, flow, seq, size, breakdown = heap[0]
+                stream = streams[flow]
+                nxt = next(stream, None) if stream is not None else None
+                if nxt is not None:
+                    heapreplace(heap, (nxt[0], flow, seq + 1, nxt[1], nxt[2]))
+                else:
+                    heappop(heap)
+                m = metrics[flow]
+                m.created_total += 1
+                pw = t >= warmup_ns
+                if pw:
+                    m.created += 1
+                if rec and stream is not None:
+                    rec((t, REC_SEND, flow, seq, size, occupancy(t), None))
+                pkt = (flow, seq, size, t, breakdown)
+                code = REC_ENQ
+                if not offer(pkt, t):
+                    m.dropped_total += 1
+                    if pw:
+                        m.dropped += 1
+                        for tag, nbytes in breakdown.items():
+                            m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
+                            m.media_dropped_bytes[tag] = (
+                                m.media_dropped_bytes.get(tag, 0.0) + nbytes
+                            )
+                    if rec:
+                        rec((t, REC_DROP, flow, seq, size, occupancy(t),
+                             tcp.cwnd if flow == tcp_id else None))
+                    if flow == tcp_id:
+                        if last_tcp_drop is not None and t - last_tcp_drop <= merge_gap_ns:
+                            cyc.losses += 1
+                        else:
+                            if cyc is not None and cyc.start_ns >= warmup_ns:
+                                cyc.end_ns = t
+                                cycles.append(cyc)
+                            occ = occupancy(t)
+                            cyc = CycleRecord(
+                                start_ns=t, end_ns=t, q_min=occ, q_max=occ,
+                                w_min=tcp.cwnd, losses=1,
+                                flow_delay_min={}, flow_delay_max={},
+                            )
+                        last_tcp_drop = t
+                    pkt = None
+            if pkt is not None:  # the queue gained or lost a packet
+                occ = occupancy(t)
+                if occ > capacity:
+                    raise SimulationError("queue occupancy exceeded capacity")
+                if t >= warmup_ns:
+                    if q_min_pw is None or occ < q_min_pw:
+                        q_min_pw = occ
+                    if q_max_pw is None or occ > q_max_pw:
+                        q_max_pw = occ
+                if cyc is not None:
+                    if occ < cyc.q_min:
+                        cyc.q_min = occ
+                    if occ > cyc.q_max:
+                        cyc.q_max = occ
+                if rec:
+                    rec((t, code, pkt[0], pkt[1], pkt[2], occ,
+                         tcp.cwnd if pkt[0] == tcp_id else None))
+                if waiting and queue.in_service is None:
+                    link_t = t + int(start_next(t)[2] * ns_per_byte + 0.5)
+
+        elif kind == 2:  # delivery at the receiver
+            flow, seq, size, created, breakdown = deliveries.popleft()[1]
+            m = metrics[flow]
+            m.delivered_total += 1
+            if rec:
+                rec((t, REC_DELIV, flow, seq, size, occupancy(t),
+                     tcp.cwnd if flow == tcp_id else None))
+            if t >= warmup_ns:
+                m.delivered += 1
+                for tag, nbytes in breakdown.items():
+                    m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
+                delay = (t - created) / 1e9
+                if m.min_delay is None or delay < m.min_delay:
+                    m.min_delay = delay
+                if m.max_delay is None or delay > m.max_delay:
+                    m.max_delay = delay
+                if m.last_delay is not None:
+                    jit = delay - m.last_delay
+                    if jit > m.max_positive_jitter:
+                        m.max_positive_jitter = jit
+                m.last_delay = delay
+                if cyc is not None:
+                    name = names[flow]
+                    cur = cyc.flow_delay_min.get(name)
+                    if cur is None or delay < cur:
+                        cyc.flow_delay_min[name] = delay
+                    cur = cyc.flow_delay_max.get(name)
+                    if cur is None or delay > cur:
+                        cyc.flow_delay_max[name] = delay
+            if flow == tcp_id:
+                ack = rcv.on_data(seq)
+                if ack is not None:
+                    acks.append((t + tau_ns, ack))
+
+        elif kind == 3:  # ACK at the TCP sender
+            ack_seq = acks.popleft()[1]
+            before = tcp.cwnd
+            if rec:
+                rec((t, REC_ACK, tcp_id, ack_seq, ACK_SIZE, occupancy(t), before))
+            sends = tcp.on_ack(ack_seq, t)
+            if rec and tcp.cwnd != before:
+                rec((t, REC_WIN, tcp_id, ack_seq, 0, occupancy(t), tcp.cwnd))
+            if cyc is not None and tcp.cwnd < cyc.w_min:
+                cyc.w_min = tcp.cwnd
+            emit_tcp(t, sends)
+
+        else:  # RTO timer
+            emit_tcp(t, tcp.on_timeout(t))
+            rto_t = t + RTO_NS
+
+        if waiting and queue.in_service is None:
+            raise SimulationError(f"link idle at t = {t} ns with {len(waiting)} packets waiting")
+
+    # census of packets still inside the system, then per-flow conservation
+    in_flight = [0] * len(names)
+    for pkt in waiting:
+        in_flight[pkt[0]] += 1
+    if queue.in_service is not None:
+        in_flight[queue.in_service[0]] += 1
+    for _t, pkt in deliveries:
+        in_flight[pkt[0]] += 1
+    for m, inside in zip(metrics, in_flight):
+        if m.created_total != m.delivered_total + m.dropped_total + inside:
+            raise SimulationError(
+                f"flow {m.flow}: {m.created_total} packets created, but "
+                f"{m.delivered_total} delivered + {m.dropped_total} dropped "
+                f"+ {inside} in flight"
+            )
+
+    return Trace(
+        config=cfg,
+        duration=duration_ns / 1e9,
+        warmup=warmup_ns / 1e9,
+        metrics=dict(zip(names, metrics)),
+        cycles=cycles,
+        records=records,
+        queue_min_pw=q_min_pw,
+        queue_max_pw=q_max_pw,
+        work_violations=0,
+        in_flight_end=dict(zip(names, in_flight)),
+    )

@@ -16,8 +16,6 @@ from teleqos.sampling import (
     EmptyStream,
     InvalidDeadband,
     InvalidSignalSpec,
-    read_trace_csv,
-    write_trace_csv,
 )
 
 
@@ -191,17 +189,3 @@ def test_instantaneous_rate_empty_stream():
     with pytest.raises(EmptyStream):
         instantaneous_rate([])
 
-
-def test_trace_csv_roundtrip(tmp_path):
-    samples = synth_haptic_trace(SignalSpec(kind="filtered-noise", seed=2), 1.0)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(str(path), samples)
-    back = read_trace_csv(str(path))
-    assert np.array_equal(back, samples)
-
-
-def test_trace_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,x,y,z\n0,1,2,3\n")
-    with pytest.raises(InvalidSignalSpec, match="header"):
-        read_trace_csv(str(path))

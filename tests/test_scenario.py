@@ -74,6 +74,41 @@ def test_rate_gap_packet_consistency_enforced():
         parse_scenario(text)
 
 
+UNUSED_KEYS = [
+    ("tcp", "packet = 1400 B"),
+    ("tcp", "rate = 1 Mbps"),
+    ("tcp", "gap = 1 ms"),
+    ("tcp", "phase = 2 ms"),
+    ("tcp", "deadband = 0.1"),
+    ("tcp", "video_rate = 400 kbps"),
+    ("tcp", "signal = contact-burst"),
+    ("adaptive", "rate = 1 Mbps"),
+    ("adaptive", "packet = 137 B"),
+    ("adaptive", "gap = 1 ms"),
+    ("telehaptic", "deadband = 0.1"),
+    ("cbr", "video_rate = 400 kbps"),
+    ("cbr", "amplitude = 2.0"),
+]
+
+
+@pytest.mark.parametrize("kind, line", UNUSED_KEYS)
+def test_flow_key_the_kind_ignores_is_rejected(kind, line):
+    # the TCP packet size comes only from s_tcp, and no key is dropped silently
+    body = {
+        "tcp": "",
+        "adaptive": "deadband = 0.1\nvideo_rate = 400 kbps\n",
+        "telehaptic": "rate = 1.096 Mbps\npacket = 137 B\n",
+        "cbr": "rate = 1 Mbps\npacket = 150 B\n",
+    }[kind]
+    text = (
+        "[network]\nmu = 6 Mbps\ntau = 8 ms\nbuf = 14 kB\ns_tcp = 578 B\n"
+        f"[flow.f]\nkind = {kind}\n{body}{line}\n"
+    )
+    key = "signal" if line.startswith("amplitude") else line.split()[0]
+    with pytest.raises(ScenarioSemanticError, match=f"a {kind} flow takes no {key}$"):
+        parse_scenario(text)
+
+
 def test_two_tcp_flows_rejected(base_net):
     with pytest.raises(ScenarioSemanticError, match="one TCP source"):
         ScenarioConfig(

@@ -86,9 +86,7 @@ def make_ca_source(n_ack: int = 1, cwnd: float = 10.0) -> TcpSource:
 
 def test_ca_cumulative_ack_compensates():
     src = make_ca_source(n_ack=2)
-    sends = src.on_ack(2, 0)
-    assert [s for s, retx in sends if not retx] == [11, 12]
-    assert len(sends) == 2
+    assert src.on_ack(2, 0) == [11, 12]
 
 
 def test_ca_window_increment_emits_probing_packet():
@@ -105,7 +103,7 @@ def test_three_dup_acks_trigger_single_retransmission():
     assert src.on_ack(4, 0) == []
     assert src.on_ack(4, 0) == []
     sends = src.on_ack(4, 0)  # third duplicate
-    assert sends == [(5, True)]
+    assert sends == [5]
     assert src.phase == FR
     assert src.ssthresh == pytest.approx(5.0)
 
@@ -126,7 +124,7 @@ def test_partial_ack_retransmits_next_hole():
         src.on_ack(4, 0)
     sends = src.on_ack(6, 0)  # partial: advances but below recover
     assert src.phase == FR
-    assert sends[0] == (7, True)
+    assert sends[0] == 7
 
 
 def test_malformed_ack_ignored():
@@ -202,6 +200,14 @@ def test_conservation_failure_raises(base_scenario, monkeypatch):
 
     monkeypatch.setattr(DropTailQueue, "offer", leaky_offer)
     with pytest.raises(SimulationError, match="in flight"):
+        run(build_simulator(base_scenario, 0.5), warmup=0.0)
+
+
+def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch):
+    # a link that never takes the head packet into service leaves work
+    # waiting on an idle link; the engine must stop at the first such event
+    monkeypatch.setattr(DropTailQueue, "start_next", lambda self, t: self.packets[0])
+    with pytest.raises(SimulationError, match="link idle at t = 0 ns"):
         run(build_simulator(base_scenario, 0.5), warmup=0.0)
 
 

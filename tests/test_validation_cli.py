@@ -145,6 +145,14 @@ def test_cli_input_error(tmp_path, capsys):
     assert "line 5" in err
 
 
+def test_cli_rejects_a_tcp_packet_size(tmp_path, capsys):
+    # TCP packets are s_tcp bytes; a flow-level packet size is an input error
+    text = baseline_text().replace("kind = tcp\n", "kind = tcp\npacket = 1400 B\n")
+    path = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", path, "--duration", "1"]) == 2
+    assert "a tcp flow takes no packet" in capsys.readouterr().err
+
+
 def test_cli_missing_file():
     assert main(["analyze", "--config", "/nonexistent.scn"]) == 2
 
