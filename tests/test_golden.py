@@ -3,14 +3,23 @@ runs, and of the loss-cycle table each run segments. Any change to the
 engine's event order, arithmetic or record format shows up here; a
 refactor that keeps these digests keeps the traces byte-identical and the
 cycles (bounds, queue and window extremes, merged losses, per-flow delay
-extremes) unchanged."""
+extremes) unchanged. A third set pins the adaptive sampling pipeline of
+each signal kind: samples, significance flags and packet schedule."""
 
 import hashlib
 from dataclasses import replace
 
 import pytest
 
-from teleqos import baseline_text, build_simulator, parse_scenario, run
+from teleqos import (
+    SignalSpec,
+    baseline_text,
+    build_simulator,
+    deadband_filter,
+    parse_scenario,
+    run,
+    synth_haptic_trace,
+)
 
 MBPS = 1e6 / 8.0
 
@@ -21,6 +30,25 @@ deadband = 0.1
 video_rate = 400 kbps
 signal = contact-burst
 signal_seed = 7
+"""
+
+
+ADAPTIVE_ONLY = """
+[network]
+mu = 6 Mbps
+tau = 8 ms
+buf = 14 kB
+s_tcp = 578 B
+
+[flow.vh]
+kind = adaptive
+deadband = 0.1
+video_rate = 400 kbps
+signal = {kind}
+
+[run]
+duration = 20 s
+seed = 1
 """
 
 
@@ -88,3 +116,25 @@ def test_recording_does_not_change_results(name):
     recorded = run(sim, warmup=1.0, record=True)
     assert recorded.metrics["media"].media_bytes
     assert replace(recorded, records=None) == run(sim, warmup=1.0, record=False)
+
+
+# sha256 of each signal kind's 20 s adaptive stream (seed 1, deadband 0.1,
+# 400 kbps video): the synthesized samples, their significance flags and
+# the simulator's schedule, so a single flipped flag or packet shows
+GOLDEN_STREAMS = {
+    "contact-burst": "85cfe65c9ded1f8194f3d8f55a33dc473cdc8bcac14e0357f0bc0309890e6ed7",
+    "filtered-noise": "39ee44b8b3b50cdf51eed27b72abc683533cd3cee340576397abcd82ed9f0136",
+    "sum-of-sinusoids": "6265eab47fa517252056386a668f218a2199bd7dbf55dff2f0d0d84be74e4582",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_STREAMS))
+def test_golden_adaptive_stream_digest(kind):
+    h = hashlib.sha256()
+    samples = synth_haptic_trace(SignalSpec(kind=kind, seed=1), 20.0)
+    h.update(samples.tobytes())
+    h.update(deadband_filter(samples, 0.1).tobytes())
+    sim = build_simulator(parse_scenario(ADAPTIVE_ONLY.format(kind=kind)))
+    for t, size, breakdown in sim.sources[0].schedule:
+        h.update(repr((t, size, sorted(breakdown.items()))).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_STREAMS[kind]
