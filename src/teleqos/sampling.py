@@ -7,12 +7,19 @@ magnitude. Significant samples are sent immediately, packed together with
 1 ms worth of video; during insignificant runs the video accumulates and
 is shipped in chunk packets of at most 15 ms worth. Synthetic signal
 generators stand in for device recordings.
+
+Samples are finite and have 1 to 3 axes; anything else raises
+InvalidSignalSpec at the boundary. The per-sample recursions (the
+filtered-noise lowpass, the deadband, the multiplexer) run as scalar loops
+over Python floats that keep the reference arithmetic order term by term,
+so their results are bit-identical to a plain row-by-row evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +59,7 @@ class SignalSpec:
             raise InvalidSignalSpec("amplitude must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class MuxPacket:
+class MuxPacket(NamedTuple):
     """One multiplexed packet: a significant haptic sample riding with 1 ms
     of video, or a video chunk covering up to 15 ms."""
 
@@ -83,9 +89,12 @@ class RateSeries:
 
 
 def synth_haptic_trace(spec: SignalSpec, duration: float) -> np.ndarray:
-    """Generate a (N, 3) force trace on the 1 kHz grid, deterministic per seed."""
-    if duration <= 0:
-        raise InvalidSignalSpec(f"duration must be positive, got {duration}")
+    """Generate a (N, 3) force trace on the 1 kHz grid, deterministic per seed.
+
+    The duration must be finite and cover at least one tick (1 ms).
+    """
+    if not HAPTIC_TICK <= duration < math.inf:
+        raise InvalidSignalSpec(f"duration must be finite and >= {HAPTIC_TICK} s, got {duration}")
     n = int(round(duration / HAPTIC_TICK))
     t = np.arange(n) * HAPTIC_TICK
     rng = np.random.default_rng(spec.seed)
@@ -99,13 +108,17 @@ def synth_haptic_trace(spec: SignalSpec, duration: float) -> np.ndarray:
                 phase = rng.uniform(0, 2 * math.pi)
                 out[:, axis] += amp * np.sin(2 * math.pi * freq * t + phase)
     elif spec.kind == "filtered-noise":
-        # one-pole lowpass over white noise, per axis
+        # one-pole lowpass over white noise, y = decay*y + innov*v per axis
         innov = 0.02
+        decay = 1.0 - innov
         noise = rng.standard_normal((n, 3))
-        y = np.zeros(3)
-        for i in range(n):
-            y = (1.0 - innov) * y + innov * noise[i]
-            out[i] = y
+        for axis in range(3):
+            y = 0.0
+            col = []
+            for w in (innov * noise[:, axis]).tolist():
+                y = decay * y + w
+                col.append(y)
+            out[:, axis] = col
         scale = np.max(np.abs(out), axis=0)
         scale[scale == 0] = 1.0
         out *= spec.amplitude / scale
@@ -142,33 +155,45 @@ def deadband_filter(samples: np.ndarray, k: float) -> np.ndarray:
     Sample x is significant iff ||x - ref|| >= k * ||ref||, where ref is the
     last significant sample; the first sample is always significant, and a
     zero-magnitude reference falls back to an absolute epsilon test.
+
+    samples is a 1-D array or an (N, 1..3) array of finite values. Squared
+    norms are summed axis by axis from the first; missing axes count as
+    0.0, which adds exactly nothing.
     """
     if not 0.0 < k < 1.0:
         raise InvalidDeadband(f"deadband fraction must be in (0, 1), got {k}")
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    n = len(pts)
-    flags = np.zeros(n, dtype=bool)
-    if n == 0:
+    if pts.ndim != 2 or not 1 <= pts.shape[1] <= 3:
+        raise InvalidSignalSpec(f"samples must have shape (N,) or (N, 1..3), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InvalidSignalSpec("samples must be finite")
+    flags = np.zeros(len(pts), dtype=bool)
+    if len(pts) == 0:
         return flags
-    rows = pts.tolist()
-    flags[0] = True
-    ref = rows[0]
-    ref_sq = sum(v * v for v in ref)
+    cols = pts.T.tolist()
+    cols += [[0.0] * len(pts)] * (3 - len(cols))
+    rows = zip(*cols)
     k_sq = k * k
     eps_sq = ZERO_REF_EPS * ZERO_REF_EPS
-    for i in range(1, n):
-        x = rows[i]
+    hits = [0]
+    ra, rb, rc = next(rows)
+    ref_sq = ra * ra + rb * rb + rc * rc
+    limit = k_sq * ref_sq
+    for i, (a, b, c) in enumerate(rows, 1):
         if ref_sq <= eps_sq:
-            sig = sum(v * v for v in x) > eps_sq
+            if not a * a + b * b + c * c > eps_sq:
+                continue
         else:
-            d_sq = sum((a - b) * (a - b) for a, b in zip(x, ref))
-            sig = d_sq >= k_sq * ref_sq
-        if sig:
-            flags[i] = True
-            ref = x
-            ref_sq = sum(v * v for v in ref)
+            da, db, dc = a - ra, b - rb, c - rc
+            if not da * da + db * db + dc * dc >= limit:
+                continue
+        hits.append(i)
+        ra, rb, rc = a, b, c
+        ref_sq = a * a + b * b + c * c
+        limit = k_sq * ref_sq
+    flags[hits] = True
     return flags
 
 
@@ -183,27 +208,27 @@ def vh_mux(
     pending video chunk, then emits a significant packet carrying that
     tick's video; insignificant ticks accumulate video and flush a chunk
     once 15 ms worth is pending. No video byte is dropped or duplicated,
-    and none waits more than 15 ms.
+    and none waits more than 15 ms. flags is a 1-D array, one per tick.
     """
     if video_rate <= 0:
         raise InvalidSignalSpec(f"video rate must be positive, got {video_rate}")
     if header <= 0:
         raise InvalidSignalSpec(f"header must be positive, got {header}")
     per_tick = video_rate * HAPTIC_TICK
-    chunk_limit = CHUNK_TICKS * per_tick
+    flush_at = CHUNK_TICKS * per_tick - 1e-9
     packets: list[MuxPacket] = []
     pending = 0.0
-    for i, sig in enumerate(flags):
-        t = i * HAPTIC_TICK
+    for i, sig in enumerate(flags.tolist()):
         if sig:
+            t = i * HAPTIC_TICK
             if pending > 0:
                 packets.append(MuxPacket(t, "chunk", header, pending))
                 pending = 0.0
             packets.append(MuxPacket(t, "significant", header, per_tick))
         else:
             pending += per_tick
-            if pending >= chunk_limit - 1e-9:
-                packets.append(MuxPacket(t, "chunk", header, pending))
+            if pending >= flush_at:
+                packets.append(MuxPacket(i * HAPTIC_TICK, "chunk", header, pending))
                 pending = 0.0
     if pending > 0:
         packets.append(MuxPacket(len(flags) * HAPTIC_TICK, "chunk", header, pending))
@@ -211,14 +236,19 @@ def vh_mux(
 
 
 def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) -> RateSeries:
-    """Sliding-window byte rate of a packet stream, plus peak and long-term mean."""
+    """Sliding-window byte rate of a packet stream, plus peak and long-term mean.
+
+    packets are (time, size) pairs in any order; they are taken in order of
+    time, then size.
+    """
     if not packets:
         raise EmptyStream("cannot compute a rate series for an empty stream")
     if window <= 0:
         raise InvalidSignalSpec(f"window must be positive, got {window}")
-    pairs = sorted((float(t), float(s)) for t, s in packets)
-    times = np.array([t for t, _ in pairs])
-    sizes = np.array([s for _, s in pairs])
+    pairs = np.array(packets, dtype=float)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]  # by time, then size
+    times = pairs[:, 0]
+    sizes = pairs[:, 1]
     cum = np.concatenate([[0.0], np.cumsum(sizes)])
 
     t0, t1 = times[0], times[-1]

@@ -66,7 +66,8 @@ class FlowSpec:
 
     Fixed-rate kinds (cbr, telehaptic) need rate and packet; gap defaults
     to packet/rate. Adaptive flows are driven by a deadband-filtered
-    synthetic signal multiplexed with video. TCP flows send s_tcp-byte
+    synthetic signal multiplexed with video; each of their packets carries
+    a positive header (default DEFAULT_HEADER). TCP flows send s_tcp-byte
     packets from the network parameters and start at time 0. A key the
     flow's kind does not use is rejected rather than ignored.
     """
@@ -79,7 +80,7 @@ class FlowSpec:
     phase: float = 0.0              # seconds
     deadband: float | None = None
     video_rate: float | None = None  # bytes/second
-    header: float = DEFAULT_HEADER   # bytes
+    header: float | None = None     # bytes; adaptive default DEFAULT_HEADER
     signal: SignalSpec | None = None
 
     def __post_init__(self) -> None:
@@ -94,7 +95,7 @@ class FlowSpec:
         # a key the kind does not use is an error, never silently ignored
         unused = ("rate", "packet", "gap") if self.kind in ("tcp", "adaptive") else ()
         if self.kind != "adaptive":
-            unused += ("deadband", "video_rate", "signal")
+            unused += ("deadband", "video_rate", "header", "signal")
         if self.kind == "tcp" and self.phase:
             unused += ("phase",)
         for key in unused:
@@ -121,6 +122,10 @@ class FlowSpec:
                 raise ScenarioSemanticError(
                     f"flow {self.name!r}: adaptive flows need a positive video_rate"
                 )
+            if self.header is None:
+                object.__setattr__(self, "header", DEFAULT_HEADER)
+            if self.header <= 0:
+                raise ScenarioSemanticError(f"flow {self.name!r}: header must be positive")
             if self.signal is None:
                 object.__setattr__(self, "signal", SignalSpec())
 
@@ -317,7 +322,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 phase=_take(body, "phase", units.parse_time, default=0.0),
                 deadband=_take(body, "deadband", units.parse_fraction, default=None),
                 video_rate=_take(body, "video_rate", units.parse_rate, default=None),
-                header=_take(body, "header", units.parse_size, default=DEFAULT_HEADER),
+                header=_take(body, "header", units.parse_size, default=None),
                 signal=signal,
             )
         )
@@ -393,7 +398,7 @@ def render_scenario(config: ScenarioConfig) -> str:
             lines.append(f"deadband = {units.format_fraction(f.deadband)}")
         if f.video_rate is not None:
             lines.append(f"video_rate = {units.format_rate(f.video_rate)}")
-        if f.header != DEFAULT_HEADER:
+        if f.header not in (None, DEFAULT_HEADER):
             lines.append(f"header = {units.format_size(f.header)}")
         if f.signal is not None:
             lines.append(f"signal = {f.signal.kind}")

@@ -463,7 +463,17 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
     samples = sampling.synth_haptic_trace(spec, duration)
     flags = sampling.deadband_filter(samples, flow.deadband)
     packets = sampling.vh_mux(flags, flow.video_rate, flow.header)
-    return tuple((_ns(p.time), p.size, p.breakdown) for p in packets if p.time < duration)
+    # packets of one make-up (kind, header, video bytes) share one size and
+    # one breakdown dict, as the packets of a cbr source do
+    makeups: dict[tuple, tuple[int, dict]] = {}
+    sched = []
+    for p in packets:
+        if p.time < duration:
+            makeup = makeups.get(p[1:])
+            if makeup is None:
+                makeup = makeups[p[1:]] = (p.size, p.breakdown)
+            sched.append((_ns(p.time), *makeup))
+    return tuple(sched)
 
 
 def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Simulator:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from teleqos.sampling import CHUNK_TICKS, HAPTIC_TICK, ZERO_REF_EPS
+
 
 def mtcp_by_timeline(n: int, s_tcp: float, mu: float, rate: float, interval: float) -> int:
     """Maximum TCP packets in any half-open window of length `interval`,
@@ -40,3 +44,86 @@ def queue_by_slot_recursion(
         rtt = 2.0 * tau + q / mu
         q = q + rtt * rate + (w_min + k - 1) * s_tcp - mu * rtt
     return q
+
+
+# The adaptive-sampling loops as they ran before the scalar kernels in
+# teleqos.sampling: one row (or one flag) per iteration, numpy arithmetic
+# per row. The kernels must reproduce them bit for bit.
+
+
+def _left_to_right_sum(values) -> float:
+    # the order sum() added floats in before Python 3.12, which switched to
+    # compensated summation; the pinned digests were computed in this order
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def filtered_noise_by_rows(amplitude: float, seed: int, duration: float) -> np.ndarray:
+    """The filtered-noise trace: a one-pole lowpass updated one (3,) row at a time."""
+    n = int(round(duration / HAPTIC_TICK))
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, 3))
+    innov = 0.02
+    noise = rng.standard_normal((n, 3))
+    y = np.zeros(3)
+    for i in range(n):
+        y = (1.0 - innov) * y + innov * noise[i]
+        out[i] = y
+    scale = np.max(np.abs(out), axis=0)
+    scale[scale == 0] = 1.0
+    out *= amplitude / scale
+    return out
+
+
+def deadband_by_rows(samples, k: float) -> np.ndarray:
+    """Significance flags with per-row generator sums over any number of axes."""
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = len(pts)
+    flags = np.zeros(n, dtype=bool)
+    if n == 0:
+        return flags
+    rows = pts.tolist()
+    flags[0] = True
+    ref = rows[0]
+    ref_sq = _left_to_right_sum(v * v for v in ref)
+    k_sq = k * k
+    eps_sq = ZERO_REF_EPS * ZERO_REF_EPS
+    for i in range(1, n):
+        x = rows[i]
+        if ref_sq <= eps_sq:
+            sig = _left_to_right_sum(v * v for v in x) > eps_sq
+        else:
+            d_sq = _left_to_right_sum((a - b) * (a - b) for a, b in zip(x, ref))
+            sig = d_sq >= k_sq * ref_sq
+        if sig:
+            flags[i] = True
+            ref = x
+            ref_sq = _left_to_right_sum(v * v for v in ref)
+    return flags
+
+
+def mux_by_ticks(flags, video_rate: float, header: float) -> list[tuple[float, str, float, float]]:
+    """(time, kind, header_bytes, video_bytes) of each multiplexed packet."""
+    per_tick = video_rate * HAPTIC_TICK
+    chunk_limit = CHUNK_TICKS * per_tick
+    packets = []
+    pending = 0.0
+    for i, sig in enumerate(flags):
+        t = i * HAPTIC_TICK
+        if sig:
+            if pending > 0:
+                packets.append((t, "chunk", header, pending))
+                pending = 0.0
+            packets.append((t, "significant", header, per_tick))
+        else:
+            pending += per_tick
+            if pending >= chunk_limit - 1e-9:
+                packets.append((t, "chunk", header, pending))
+                pending = 0.0
+    if pending > 0:
+        packets.append((len(flags) * HAPTIC_TICK, "chunk", header, pending))
+    return packets

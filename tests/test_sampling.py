@@ -1,7 +1,10 @@
 """Deadband filtering, visual-haptic multiplexing and synthetic traces."""
 
+import math
+
 import numpy as np
 import pytest
+from oracles import deadband_by_rows, filtered_noise_by_rows, mux_by_ticks
 
 from teleqos import (
     SignalSpec,
@@ -169,6 +172,94 @@ def test_invalid_signal_spec():
         synth_haptic_trace(SignalSpec(), 0.0)
 
 
+@pytest.mark.parametrize("kind", ["contact-burst", "filtered-noise", "sum-of-sinusoids"])
+@pytest.mark.parametrize("duration", [0.0, 4e-4, 9.99e-4, -1.0, math.inf, math.nan])
+def test_synth_rejects_a_duration_without_a_whole_tick(kind, duration):
+    with pytest.raises(InvalidSignalSpec, match="duration"):
+        synth_haptic_trace(SignalSpec(kind=kind), duration)
+
+
+@pytest.mark.parametrize("samples", [
+    [[1.0, math.nan, 0.0], [2.0, 2.0, 2.0], [5.0, 5.0, 5.0]],
+    [[1.0, 1.0, 1.0], [math.inf, 2.0, 2.0]],
+    [0.5, -math.inf],
+])
+def test_deadband_rejects_non_finite_samples(samples):
+    with pytest.raises(InvalidSignalSpec, match="finite"):
+        deadband_filter(np.array(samples), 0.1)
+
+
+@pytest.mark.parametrize("shape", [(), (4, 2, 3), (5, 4), (5, 0)])
+def test_deadband_rejects_samples_without_1_to_3_axes(shape):
+    with pytest.raises(InvalidSignalSpec, match="shape"):
+        deadband_filter(np.ones(shape), 0.1)
+
+
+# the kernels against the per-row reference loops in oracles.py: every
+# flag, packet field and sample bit must be equal
+EQUIVALENCE_DURATIONS = (1e-3, 2e-3, 0.016, 0.3, 5.0)
+# (video_rate, header): 400 kbps; an inexact per-tick size; 2.4 kbps, whose
+# 15 summed ticks fall 1 ulp short of 15 * per_tick and flush only through
+# the 1e-9 slack; and a rate so low that every quiet tick flushes a chunk
+MUX_CASES = ((400e3 / 8, 87.0), (123456.789, 40.5), (300.0, 87.0), (1e-6, 87.0))
+
+
+def _fields(packets):
+    return [(p.time, p.kind, p.header_bytes, p.video_bytes) for p in packets]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("kind", ["contact-burst", "filtered-noise", "sum-of-sinusoids"])
+def test_kernels_match_reference_loops(kind, seed):
+    for duration in EQUIVALENCE_DURATIONS:
+        samples = synth_haptic_trace(SignalSpec(kind=kind, amplitude=1.5, seed=seed), duration)
+        if kind == "filtered-noise":
+            assert samples.tobytes() == filtered_noise_by_rows(1.5, seed, duration).tobytes()
+        for k in (1e-3, 0.1, 0.5):
+            flags = deadband_filter(samples, k)
+            assert flags.dtype == bool
+            assert flags.tolist() == deadband_by_rows(samples, k).tolist()
+            for video_rate, header in MUX_CASES:
+                packets = vh_mux(flags, video_rate, header)
+                assert _fields(packets) == mux_by_ticks(flags, video_rate, header)
+
+
+HAND_MADE = {
+    "all-zero rows": np.zeros((6, 3)),
+    "zero reference, then non-zero": np.array(
+        [[0.0, 0.0, 0.0], [5e-7, 0.0, 0.0], [0.0, 2e-6, 0.0], [0.0, 2e-6, 1e-7], [0.0, 0.0, 0.0]]
+    ),
+    "1-axis, 1-D": 1.0 + 0.11 * np.arange(60),
+    "1-axis, column": (1.0 + 0.11 * np.arange(60))[:, None],
+    "2-axis": np.cumsum(np.random.default_rng(3).standard_normal((400, 2)), axis=0),
+    "one sample": np.array([[0.3, -0.2, 0.1]]),
+    # exact ties: |x|^2 equal to the zero-reference epsilon^2 is not
+    # significant; a distance equal to k * |ref| (k = 0.5) is
+    "ties": np.array([[0.0, 0.0, 0.0], [1e-6, 0.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.0, 0.0]]),
+    # a squared norm that depends on the order of the axis sums: added
+    # x, y, z it is exactly 1.0 and the next sample ties with k = 0.5;
+    # added z, y, x it rounds up and the tie is lost
+    "axis order, first sample": np.array([[1.0, 1e-8, 1e-8], [1.5, 1e-8, 1e-8]]),
+    "axis order, later sample": np.array([[0.0, 0.0, 0.0], [1.0, 1e-8, 1e-8], [1.5, 1e-8, 1e-8]]),
+    # the same for the distance: k^2 |ref|^2 is 1 + 2^-52, and the squared
+    # distance is 1.0 added x, y, z (not significant) but 1 + 2^-52 added
+    # z, y, x (significant)
+    "axis order, distance": np.array([[2.0, 2.0**-25, 0.0], [3.0, 2.0**-25 + 1e-8, 1e-8]]),
+    "empty": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_deadband_hand_made_cases_match_reference(name):
+    samples = HAND_MADE[name]
+    for k in (1e-3, 0.1, 0.5):
+        flags = deadband_filter(samples, k)
+        assert flags.tolist() == deadband_by_rows(samples, k).tolist()
+        for video_rate, header in MUX_CASES:
+            packets = vh_mux(flags, video_rate, header)
+            assert _fields(packets) == mux_by_ticks(flags, video_rate, header)
+
+
 def test_instantaneous_rate_flat_for_cbr():
     packets = [(i * 1e-3, 137.0) for i in range(2000)]
     series = instantaneous_rate(packets, window=0.1)
@@ -183,6 +274,13 @@ def test_instantaneous_rate_fluctuates_for_bursty_stream():
     packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
     series = instantaneous_rate([(p.time, float(p.size)) for p in packets], window=0.1)
     assert series.peak / series.mean > 1.2
+
+
+def test_instantaneous_rate_takes_equal_times_in_size_order():
+    # the window sum 1 + 1 + 2^53 is exact; 2^53 + 1 + 1 rounds back to 2^53 twice
+    packets = [(0.0, 2.0**53), (0.0, 1.0), (0.0, 1.0), (0.002, 5.0)]
+    series = instantaneous_rate(packets, window=0.001)
+    assert series.rates[0] == (2.0**53 + 2.0) / 0.001
 
 
 def test_instantaneous_rate_empty_stream():

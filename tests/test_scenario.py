@@ -18,6 +18,7 @@ from teleqos import (
     parse_scenario,
     render_scenario,
 )
+from teleqos.sampling import DEFAULT_HEADER
 
 MBPS = 1e6 / 8.0
 
@@ -82,12 +83,15 @@ UNUSED_KEYS = [
     ("tcp", "deadband = 0.1"),
     ("tcp", "video_rate = 400 kbps"),
     ("tcp", "signal = contact-burst"),
+    ("tcp", "header = 40 B"),
     ("adaptive", "rate = 1 Mbps"),
     ("adaptive", "packet = 137 B"),
     ("adaptive", "gap = 1 ms"),
     ("telehaptic", "deadband = 0.1"),
+    ("telehaptic", "header = 40 B"),
     ("cbr", "video_rate = 400 kbps"),
     ("cbr", "amplitude = 2.0"),
+    ("cbr", "header = 40 B"),
 ]
 
 
@@ -107,6 +111,19 @@ def test_flow_key_the_kind_ignores_is_rejected(kind, line):
     key = "signal" if line.startswith("amplitude") else line.split()[0]
     with pytest.raises(ScenarioSemanticError, match=f"a {kind} flow takes no {key}$"):
         parse_scenario(text)
+
+
+def test_adaptive_header_defaults_must_be_positive_and_round_trips(base_net):
+    flow = dict(name="vh", kind="adaptive", deadband=0.1, video_rate=50e3)
+    assert FlowSpec(**flow).header == DEFAULT_HEADER
+    for bad in (0.0, -40.0):
+        with pytest.raises(ScenarioSemanticError, match="header must be positive"):
+            FlowSpec(**flow, header=bad)
+    with pytest.raises(ScenarioSemanticError, match="a tcp flow takes no header$"):
+        FlowSpec(name="bulk", kind="tcp", header=40.0)
+    for header in (DEFAULT_HEADER, 40.0):
+        cfg = ScenarioConfig(net=base_net, flows=(FlowSpec(**flow, header=header),))
+        assert parse_scenario(render_scenario(cfg)) == cfg
 
 
 def test_two_tcp_flows_rejected(base_net):
