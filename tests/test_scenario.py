@@ -189,3 +189,166 @@ def test_default_warmup_policy():
     assert long.effective_warmup == 50.0  # 10% of the run
     short = parse_scenario(baseline_text().replace("duration = 60 s", "duration = 10 s").replace("warmup = 20 s", ""))
     assert short.effective_warmup == 5.0  # capped at half the run
+
+
+# every key of every section, rendered as the format pins it: canonical
+# units, phase 0 and the default header left out, [qos] written in full
+FULL_CONFIG = ScenarioConfig(
+    net=NetworkParams(mu=750000.0, tau=0.008, buf=14000.0, s_tcp=578.0, n_ack=2),
+    flows=(
+        FlowSpec(name="cross", kind="cbr", rate=50000.0, packet=150.0, phase=0.0005),
+        FlowSpec(name="media", kind="telehaptic", rate=137000.0, packet=137.0),
+        FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=50000.0, header=40.0,
+                 signal=SignalSpec(kind="filtered-noise", amplitude=2.5, seed=7)),
+        FlowSpec(name="bulk", kind="tcp"),
+    ),
+    qos=QosSpec(haptic=MediaQos(delay=0.025, jitter=0.005, loss=0.05)),
+    mux=AvMuxSpec(s_a=160.0, s_m=58.0, f_v=25.0),
+    duration=30.0, warmup=5.0, seed=3,
+)
+FULL_TEXT = """\
+[network]
+mu = 750000.0 Bps
+tau = 0.008 s
+buf = 14000.0 B
+s_tcp = 578.0 B
+n_ack = 2
+
+[flow.cross]
+kind = cbr
+rate = 50000.0 Bps
+packet = 150.0 B
+gap = 0.003 s
+phase = 0.0005 s
+
+[flow.media]
+kind = telehaptic
+rate = 137000.0 Bps
+packet = 137.0 B
+gap = 0.001 s
+
+[flow.vh]
+kind = adaptive
+deadband = 0.1
+video_rate = 50000.0 Bps
+header = 40.0 B
+signal = filtered-noise
+amplitude = 2.5
+signal_seed = 7
+
+[flow.bulk]
+kind = tcp
+
+[qos]
+haptic_delay = 0.025 s
+haptic_jitter = 0.005 s
+haptic_loss = 0.05
+audio_delay = 0.15 s
+audio_jitter = 0.03 s
+audio_loss = 0.01
+video_delay = 0.4 s
+video_jitter = 0.03 s
+video_loss = 0.01
+
+[mux]
+s_a = 160.0 B
+s_m = 58.0 B
+f_v = 25.0 Hz
+
+[run]
+duration = 30.0 s
+warmup = 5.0 s
+seed = 3
+"""
+
+
+def test_render_text_of_every_key_is_pinned():
+    assert render_scenario(FULL_CONFIG) == FULL_TEXT
+    assert parse_scenario(FULL_TEXT) == FULL_CONFIG
+
+
+# one line per key, so a fault's line number is fixed
+ERROR_BASE = """\
+[network]
+mu = 6 Mbps
+tau = 8 ms
+buf = 14 kB
+s_tcp = 578 B
+n_ack = 1
+
+[flow.media]
+kind = telehaptic
+rate = 1.096 Mbps
+packet = 137 B
+
+[flow.vh]
+kind = adaptive
+deadband = 0.1
+video_rate = 400 kbps
+amplitude = 2.5
+
+[qos]
+haptic_delay = 25 ms
+
+[mux]
+s_a = 160 B
+s_m = 58 B
+f_v = 25 Hz
+
+[run]
+duration = 10 s
+seed = 1
+"""
+
+SCENARIO_ERRORS = [
+    # an unknown key in each section, reported on its line
+    ("[network]", "[network]\nbogus = 1", ScenarioParseError,
+     "line 2: unknown key 'bogus' in section [network]"),
+    ("[flow.media]", "[flow.media]\nbogus = 1", ScenarioParseError,
+     "line 9: unknown key 'bogus' in section [flow.media]"),
+    ("[qos]", "[qos]\nbogus = 1", ScenarioParseError,
+     "line 20: unknown key 'bogus' in section [qos]"),
+    ("[mux]", "[mux]\nbogus = 1", ScenarioParseError,
+     "line 23: unknown key 'bogus' in section [mux]"),
+    ("[run]", "[run]\nbogus = 1", ScenarioParseError,
+     "line 28: unknown key 'bogus' in section [run]"),
+    # each required key missing
+    ("mu = 6 Mbps\n", "", ScenarioSemanticError, "[network] is missing required key 'mu'"),
+    ("tau = 8 ms\n", "", ScenarioSemanticError, "[network] is missing required key 'tau'"),
+    ("buf = 14 kB\n", "", ScenarioSemanticError, "[network] is missing required key 'buf'"),
+    ("s_tcp = 578 B\n", "", ScenarioSemanticError, "[network] is missing required key 's_tcp'"),
+    ("kind = telehaptic\n", "", ScenarioSemanticError, "[flow.media] is missing required key 'kind'"),
+    ("s_a = 160 B\n", "", ScenarioSemanticError, "[mux] is missing required key 's_a'"),
+    ("s_m = 58 B\n", "", ScenarioSemanticError, "[mux] is missing required key 's_m'"),
+    ("f_v = 25 Hz\n", "", ScenarioSemanticError, "[mux] is missing required key 'f_v'"),
+    # one malformed value per codec, reported on its line with its key
+    ("mu = 6 Mbps", "mu = 6 furlongs", ScenarioParseError,
+     "line 2: mu: rate value '6 furlongs' has unknown unit 'furlongs' "
+     "(expected one of Bps, Gbps, MBps, Mbps, bps, kBps, kbps)"),
+    ("tau = 8 ms", "tau = 8", ScenarioParseError,
+     "line 3: tau: time value '8' is missing a unit suffix (expected one of ms, ns, s, us)"),
+    ("buf = 14 kB", "buf = 14 kb", ScenarioParseError,
+     "line 4: buf: size value '14 kb' has unknown unit 'kb' (expected one of B, MB, kB)"),
+    ("f_v = 25 Hz", "f_v = 25 fps", ScenarioParseError,
+     "line 25: f_v: frequency value '25 fps' has unknown unit 'fps' (expected one of Hz, kHz)"),
+    ("deadband = 0.1", "deadband = 0.1 Hz", ScenarioParseError,
+     "line 15: deadband: fraction value '0.1 Hz' has unknown unit 'Hz' (expected one of %)"),
+    ("haptic_delay = 25 ms", "haptic_loss = lots", ScenarioParseError,
+     "line 20: haptic_loss: cannot parse number in fraction value 'lots'"),
+    ("n_ack = 1", "n_ack = two", ScenarioParseError,
+     "line 6: n_ack: expected an integer, got 'two'"),
+    ("seed = 1", "seed = 1.5", ScenarioParseError,
+     "line 29: seed: expected an integer, got '1.5'"),
+    ("amplitude = 2.5", "amplitude = loud", ScenarioParseError,
+     "line 17: amplitude: could not convert string to float: 'loud'"),
+]
+
+
+@pytest.mark.parametrize("old, new, error, message", SCENARIO_ERRORS)
+def test_scenario_error_names_section_key_and_line(old, new, error, message):
+    parse_scenario(ERROR_BASE)
+    assert old in ERROR_BASE
+    with pytest.raises(error) as info:
+        parse_scenario(ERROR_BASE.replace(old, new, 1))
+    assert type(info.value) is error
+    assert str(info.value) == message
