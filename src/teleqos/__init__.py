@@ -31,7 +31,6 @@ from .model import (
 from .sampling import (
     MuxPacket,
     RateSeries,
-    SignalSpec,
     deadband_filter,
     instantaneous_rate,
     synth_haptic_trace,
@@ -43,6 +42,7 @@ from .scenario import (
     ScenarioError,
     ScenarioParseError,
     ScenarioSemanticError,
+    SignalSpec,
     baseline_text,
     load_scenario,
     parse_scenario,

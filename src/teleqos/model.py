@@ -30,7 +30,7 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class InvalidParams(ValueError):
@@ -225,7 +225,6 @@ class ComplianceReport:
 
     conditions: list[ConditionResult]
     validity: ValidityFlags
-    inputs: dict = field(default_factory=dict)
 
     @property
     def overall(self) -> bool:
@@ -490,15 +489,4 @@ def qos_check(
             ConditionResult("video_delay", passed=d_vid < qos.video.delay, value=d_vid, limit=qos.video.delay)
         )
 
-    inputs = {
-        "mu_Bps": net.mu,
-        "tau_s": net.tau,
-        "buf_B": net.buf,
-        "s_tcp_B": net.s_tcp,
-        "n_ack": net.n_ack,
-        "rate_h_Bps": h.rate_h,
-        "rate_cross_Bps": h.rate_cross,
-        "gap_h_s": h.gap_h,
-        "pkt_h_B": h.pkt_h,
-    }
-    return ComplianceReport(conditions=conditions, validity=flags, inputs=inputs)
+    return ComplianceReport(conditions=conditions, validity=flags)

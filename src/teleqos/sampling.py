@@ -23,9 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .scenario import InvalidSignalSpec, SignalSpec
+
 HAPTIC_TICK = 1e-3  # 1 kHz sampling grid
 CHUNK_TICKS = 15    # max video backlog per chunk packet, in ticks
-DEFAULT_HEADER = 87.0   # header + haptic payload of a significant packet, bytes
 ZERO_REF_EPS = 1e-6     # significance threshold against a zero reference
 
 
@@ -33,30 +34,8 @@ class InvalidDeadband(ValueError):
     pass
 
 
-class InvalidSignalSpec(ValueError):
-    pass
-
-
 class EmptyStream(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    """Synthetic 3-axis force signal description; reproducible given seed.
-
-    kind: 'sum-of-sinusoids' | 'filtered-noise' | 'contact-burst'
-    """
-
-    kind: str = "contact-burst"
-    amplitude: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sum-of-sinusoids", "filtered-noise", "contact-burst"):
-            raise InvalidSignalSpec(f"unknown signal kind {self.kind!r}")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise InvalidSignalSpec("amplitude must be finite and >= 0")
 
 
 class MuxPacket(NamedTuple):
@@ -197,11 +176,7 @@ def deadband_filter(samples: np.ndarray, k: float) -> np.ndarray:
     return flags
 
 
-def vh_mux(
-    flags: np.ndarray,
-    video_rate: float,
-    header: float = DEFAULT_HEADER,
-) -> list[MuxPacket]:
+def vh_mux(flags: np.ndarray, video_rate: float, header: float) -> list[MuxPacket]:
     """Multiplex significance flags with a constant-rate video stream.
 
     Each tick accrues 1 ms of video. A significant tick first flushes any
@@ -238,10 +213,10 @@ def vh_mux(
 def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) -> RateSeries:
     """Sliding-window byte rate of a packet stream, plus peak and long-term mean.
 
-    packets are (time, size) pairs in any order; they are taken in order of
-    time, then size.
+    packets are (time, size) pairs in any order, as a sequence or an (N, 2)
+    array; they are taken in order of time, then size.
     """
-    if not packets:
+    if len(packets) == 0:
         raise EmptyStream("cannot compute a rate series for an empty stream")
     if window <= 0:
         raise InvalidSignalSpec(f"window must be positive, got {window}")

@@ -31,19 +31,25 @@ Format::
 Dimensioned values must carry a unit suffix; loss limits and the deadband
 fraction are dimensionless and written bare (or with %). Unknown keys and
 duplicate sections are rejected with the offending line number.
+
+The tables below (``_NETWORK``, ``_FLOW``, ...) are the format's single
+statement of each key and its unit: parsing, the unknown-key check and
+rendering walk them, and each section's dataclass sets the required keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
+from numbers import Real
+from typing import Any, Callable, NamedTuple
 
 from . import units
-from .model import AvMuxSpec, MediaQos, NetworkParams, QosSpec
-from .sampling import DEFAULT_HEADER, SignalSpec
+from .model import AvMuxSpec, NetworkParams, QosSpec
 
 FLOW_KINDS = ("tcp", "cbr", "telehaptic", "adaptive")
+DEFAULT_HEADER = 87.0   # header + haptic payload of a significant packet, bytes
 
 
 class ScenarioError(ValueError):
@@ -58,6 +64,28 @@ class ScenarioParseError(ScenarioError):
 
 class ScenarioSemanticError(ScenarioError):
     pass
+
+
+class InvalidSignalSpec(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class SignalSpec:
+    """Synthetic 3-axis force signal description; reproducible given seed.
+
+    kind: 'sum-of-sinusoids' | 'filtered-noise' | 'contact-burst'
+    """
+
+    kind: str = "contact-burst"
+    amplitude: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("sum-of-sinusoids", "filtered-noise", "contact-burst"):
+            raise InvalidSignalSpec(f"unknown signal kind {self.kind!r}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise InvalidSignalSpec("amplitude must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,9 +114,8 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.kind not in FLOW_KINDS:
             raise ScenarioSemanticError(f"flow {self.name!r}: unknown kind {self.kind!r}")
-        for key in ("rate", "packet", "gap", "phase", "video_rate", "header"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+        for key, value in vars(self).items():
+            if isinstance(value, Real) and not math.isfinite(value):
                 raise ScenarioSemanticError(f"flow {self.name!r}: {key} must be finite, got {value}")
         if self.phase < 0:
             raise ScenarioSemanticError(f"flow {self.name!r}: phase must be >= 0")
@@ -130,12 +157,6 @@ class FlowSpec:
                 object.__setattr__(self, "signal", SignalSpec())
 
 
-def default_warmup(duration: float) -> float:
-    """Warmup to discard when none is configured: 10% of the run, at least
-    20 s, never more than half the run."""
-    return min(max(0.1 * duration, 20.0), 0.5 * duration)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     net: NetworkParams
@@ -147,9 +168,7 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.duration) or (
-            self.warmup is not None and not math.isfinite(self.warmup)
-        ):
+        if not math.isfinite(self.duration) or not math.isfinite(self.warmup or 0.0):
             raise ScenarioSemanticError("duration and warmup must be finite")
         if self.duration < 0:
             raise ScenarioSemanticError("duration must be >= 0")
@@ -175,7 +194,11 @@ class ScenarioConfig:
 
     @property
     def effective_warmup(self) -> float:
-        return self.warmup if self.warmup is not None else default_warmup(self.duration)
+        """The configured warmup, else 10% of the run, at least 20 s and never
+        more than half the run."""
+        if self.warmup is not None:
+            return self.warmup
+        return min(max(0.1 * self.duration, 20.0), 0.5 * self.duration)
 
     def flow(self, name: str) -> FlowSpec:
         for f in self.flows:
@@ -197,25 +220,62 @@ class ScenarioConfig:
 
 
 # --------------------------------------------------------------------------
+# the format: one table per section, key -> codec
+
+
+class _Codec(NamedTuple):
+    """How a key's value is read and written; None or `omit` is not written.
+    The key sets the dataclass field of its own name, or `field` if given."""
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+    omit: Any = None
+    field: str | None = None
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+_RATE = _Codec(units.parse_rate, units.format_rate)
+_TIME = _Codec(units.parse_time, units.format_time)
+_SIZE = _Codec(units.parse_size, units.format_size)
+_FREQ = _Codec(units.parse_freq, units.format_freq)
+_FRACTION = _Codec(units.parse_fraction, units.format_fraction)
+_FLOAT = _Codec(float, repr)
+_INT = _Codec(_parse_int, str)
+_STR = _Codec(str, str)
+
+_NETWORK = {"mu": _RATE, "tau": _TIME, "buf": _SIZE, "s_tcp": _SIZE, "n_ack": _INT}
+_FLOW = {
+    "kind": _STR, "rate": _RATE, "packet": _SIZE, "gap": _TIME, "phase": _TIME._replace(omit=0.0),
+    "deadband": _FRACTION, "video_rate": _RATE, "header": _SIZE._replace(omit=DEFAULT_HEADER),
+}
+# the [flow.*] keys that describe the flow's SignalSpec
+_SIGNAL = {"signal": _STR._replace(field="kind"), "amplitude": _FLOAT,
+           "signal_seed": _INT._replace(field="seed")}
+# media -> the [qos] keys of its MediaQos: haptic_delay, haptic_jitter, ...
+_QOS = {media: {f"{media}_{key}": codec._replace(field=key)
+                for key, codec in (("delay", _TIME), ("jitter", _TIME), ("loss", _FRACTION))}
+        for media in ("haptic", "audio", "video")}
+_MUX = {"s_a": _SIZE, "s_m": _SIZE, "f_v": _FREQ}
+_RUN = {"duration": _TIME, "warmup": _TIME, "seed": _INT}
+_SECTIONS = {"network": (_NETWORK,), "flow.*": (_FLOW, _SIGNAL), "qos": tuple(_QOS.values()),
+             "mux": (_MUX,), "run": (_RUN,)}
+
+
+# --------------------------------------------------------------------------
 # parsing
 
-_NETWORK_KEYS = {"mu", "tau", "buf", "s_tcp", "n_ack"}
-_FLOW_KEYS = {
-    "kind", "rate", "packet", "gap", "phase",
-    "deadband", "video_rate", "header", "signal", "amplitude", "signal_seed",
-}
-_QOS_KEYS = {
-    f"{media}_{metric}"
-    for media in ("haptic", "audio", "video")
-    for metric in ("delay", "jitter", "loss")
-}
-_MUX_KEYS = {"s_a", "s_m", "f_v"}
-_RUN_KEYS = {"duration", "warmup", "seed"}
 
-
-def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: dict[str, tuple[str, int]] | None = None
+def _read_sections(text: str) -> dict[str, list[dict]]:
+    """Split the text into sections and parse each key by its section's
+    tables: section -> one {field: value} dict per table."""
+    sections: dict[str, list[dict]] = {}
+    rows: dict[str, tuple[_Codec, dict]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -228,146 +288,63 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                 raise ScenarioParseError(lineno, "empty section name")
             if name in sections:
                 raise ScenarioParseError(lineno, f"duplicate section [{name}]")
-            current = {}
-            sections[name] = current
+            tables = _SECTIONS.get("flow.*" if name.startswith("flow.") else name)
+            if tables is None:
+                raise ScenarioSemanticError(f"unknown section [{name}]")
+            sections[name] = [{} for _ in tables]
+            rows = {key: (codec, out) for table, out in zip(tables, sections[name])
+                    for key, codec in table.items()}
             continue
         if "=" not in line:
             raise ScenarioParseError(lineno, f"expected key = value, got {raw.strip()!r}")
-        if current is None:
+        if rows is None:
             raise ScenarioParseError(lineno, "key outside of any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ScenarioParseError(lineno, f"expected key = value, got {raw.strip()!r}")
-        if key in current:
+        if key not in rows:
+            raise ScenarioParseError(lineno, f"unknown key {key!r} in section [{name}]")
+        codec, out = rows[key]
+        if (codec.field or key) in out:
             raise ScenarioParseError(lineno, f"duplicate key {key!r}")
-        current[key] = (value, lineno)
+        try:
+            out[codec.field or key] = codec.parse(value)
+        except ValueError as exc:
+            raise ScenarioParseError(lineno, f"{key}: {exc}") from None
     return sections
 
 
-def _take(
-    body: dict[str, tuple[str, int]],
-    key: str,
-    parser,
-    *,
-    required: bool = False,
-    default=None,
-    section: str = "",
-):
-    if key not in body:
-        if required:
-            raise ScenarioSemanticError(f"[{section}] is missing required key {key!r}")
-        return default
-    value, lineno = body.pop(key)
-    try:
-        return parser(value)
-    except ValueError as exc:
-        raise ScenarioParseError(lineno, f"{key}: {exc}") from None
-
-
-def _reject_unknown(section: str, body: dict[str, tuple[str, int]], allowed: set[str]) -> None:
-    for key, (_, lineno) in body.items():
-        if key not in allowed:
-            raise ScenarioParseError(lineno, f"unknown key {key!r} in section [{section}]")
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+def _build(cls, section: str, values: dict):
+    """cls(**values), after naming the first required field that is missing."""
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+            raise ScenarioSemanticError(f"[{section}] is missing required key {f.name!r}")
+    return cls(**values)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text; raises ScenarioParseError (with line number) on
     malformed input and ScenarioSemanticError on inconsistent configurations."""
-    sections = _split_sections(text)
-
+    sections = _read_sections(text)
     if "network" not in sections:
         raise ScenarioSemanticError("missing [network] section")
-    body = sections.pop("network")
-    _reject_unknown("network", body, _NETWORK_KEYS)
-    net = NetworkParams(
-        mu=_take(body, "mu", units.parse_rate, required=True, section="network"),
-        tau=_take(body, "tau", units.parse_time, required=True, section="network"),
-        buf=_take(body, "buf", units.parse_size, required=True, section="network"),
-        s_tcp=_take(body, "s_tcp", units.parse_size, required=True, section="network"),
-        n_ack=_take(body, "n_ack", _parse_int, default=1),
-    )
+    net = _build(NetworkParams, "network", *sections["network"])
 
     flows: list[FlowSpec] = []
-    for name in [s for s in sections if s.startswith("flow.")]:
-        body = sections.pop(name)
-        _reject_unknown(name, body, _FLOW_KEYS)
-        flow_name = name[len("flow."):]
-        if not flow_name:
+    for section in [s for s in sections if s.startswith("flow.")]:
+        values, signal = sections[section]
+        values.update(name=section[len("flow."):], signal=SignalSpec(**signal) if signal else None)
+        if not values["name"]:
             raise ScenarioSemanticError("flow section needs a name: [flow.NAME]")
-        kind = _take(body, "kind", str, required=True, section=name)
-        signal_kind = _take(body, "signal", str, default=None)
-        amplitude = _take(body, "amplitude", float, default=None)
-        signal_seed = _take(body, "signal_seed", _parse_int, default=None)
-        signal = None
-        if signal_kind is not None or amplitude is not None or signal_seed is not None:
-            signal = SignalSpec(
-                kind=signal_kind or "contact-burst",
-                amplitude=amplitude if amplitude is not None else 1.0,
-                seed=signal_seed if signal_seed is not None else 0,
-            )
-        flows.append(
-            FlowSpec(
-                name=flow_name,
-                kind=kind,
-                rate=_take(body, "rate", units.parse_rate, default=None),
-                packet=_take(body, "packet", units.parse_size, default=None),
-                gap=_take(body, "gap", units.parse_time, default=None),
-                phase=_take(body, "phase", units.parse_time, default=0.0),
-                deadband=_take(body, "deadband", units.parse_fraction, default=None),
-                video_rate=_take(body, "video_rate", units.parse_rate, default=None),
-                header=_take(body, "header", units.parse_size, default=None),
-                signal=signal,
-            )
-        )
+        flows.append(_build(FlowSpec, section, values))
     if not flows:
         raise ScenarioSemanticError("at least one [flow.NAME] section is required")
 
-    qos = QosSpec()
-    if "qos" in sections:
-        body = sections.pop("qos")
-        _reject_unknown("qos", body, _QOS_KEYS)
-        limits = {}
-        for media in ("haptic", "audio", "video"):
-            base = getattr(qos, media)
-            limits[media] = MediaQos(
-                delay=_take(body, f"{media}_delay", units.parse_time, default=base.delay),
-                jitter=_take(body, f"{media}_jitter", units.parse_time, default=base.jitter),
-                loss=_take(body, f"{media}_loss", units.parse_fraction, default=base.loss),
-            )
-        qos = QosSpec(**limits)
-
-    mux = None
-    if "mux" in sections:
-        body = sections.pop("mux")
-        _reject_unknown("mux", body, _MUX_KEYS)
-        mux = AvMuxSpec(
-            s_a=_take(body, "s_a", units.parse_size, required=True, section="mux"),
-            s_m=_take(body, "s_m", units.parse_size, required=True, section="mux"),
-            f_v=_take(body, "f_v", units.parse_freq, required=True, section="mux"),
-        )
-
-    duration, warmup, seed = 60.0, None, 1
-    if "run" in sections:
-        body = sections.pop("run")
-        _reject_unknown("run", body, _RUN_KEYS)
-        duration = _take(body, "duration", units.parse_time, default=60.0)
-        warmup = _take(body, "warmup", units.parse_time, default=None)
-        seed = _take(body, "seed", _parse_int, default=1)
-
-    for leftover in sections:
-        raise ScenarioSemanticError(f"unknown section [{leftover}]")
-
-    return ScenarioConfig(
-        net=net, flows=tuple(flows), qos=qos, mux=mux,
-        duration=duration, warmup=warmup, seed=seed,
-    )
+    limits = sections.get("qos", [{} for _ in _QOS])
+    qos = QosSpec(**{m: replace(getattr(QosSpec(), m), **lim) for m, lim in zip(_QOS, limits)})
+    mux = _build(AvMuxSpec, "mux", *sections["mux"]) if "mux" in sections else None
+    (run,) = sections.get("run", [{}])
+    return ScenarioConfig(net=net, flows=tuple(flows), qos=qos, mux=mux, **run)
 
 
 # --------------------------------------------------------------------------
@@ -375,61 +352,22 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def render_scenario(config: ScenarioConfig) -> str:
-    lines = ["[network]"]
-    lines.append(f"mu = {units.format_rate(config.net.mu)}")
-    lines.append(f"tau = {units.format_time(config.net.tau)}")
-    lines.append(f"buf = {units.format_size(config.net.buf)}")
-    lines.append(f"s_tcp = {units.format_size(config.net.s_tcp)}")
-    lines.append(f"n_ack = {config.net.n_ack}")
-
-    for f in config.flows:
-        lines.append("")
-        lines.append(f"[flow.{f.name}]")
-        lines.append(f"kind = {f.kind}")
-        if f.rate is not None:
-            lines.append(f"rate = {units.format_rate(f.rate)}")
-        if f.packet is not None:
-            lines.append(f"packet = {units.format_size(f.packet)}")
-        if f.gap is not None:
-            lines.append(f"gap = {units.format_time(f.gap)}")
-        if f.phase:
-            lines.append(f"phase = {units.format_time(f.phase)}")
-        if f.deadband is not None:
-            lines.append(f"deadband = {units.format_fraction(f.deadband)}")
-        if f.video_rate is not None:
-            lines.append(f"video_rate = {units.format_rate(f.video_rate)}")
-        if f.header not in (None, DEFAULT_HEADER):
-            lines.append(f"header = {units.format_size(f.header)}")
-        if f.signal is not None:
-            lines.append(f"signal = {f.signal.kind}")
-            lines.append(f"amplitude = {f.signal.amplitude!r}")
-            lines.append(f"signal_seed = {f.signal.seed}")
-
-    default_qos = QosSpec()
-    if config.qos != default_qos:
-        lines.append("")
-        lines.append("[qos]")
-        for media in ("haptic", "audio", "video"):
-            mq = getattr(config.qos, media)
-            lines.append(f"{media}_delay = {units.format_time(mq.delay)}")
-            lines.append(f"{media}_jitter = {units.format_time(mq.jitter)}")
-            lines.append(f"{media}_loss = {units.format_fraction(mq.loss)}")
-
+    sections = [("network", [(_NETWORK, config.net)])]
+    sections += [(f"flow.{f.name}", [(_FLOW, f), (_SIGNAL, f.signal)]) for f in config.flows]
+    if config.qos != QosSpec():
+        sections.append(("qos", [(table, getattr(config.qos, m)) for m, table in _QOS.items()]))
     if config.mux is not None:
-        lines.append("")
-        lines.append("[mux]")
-        lines.append(f"s_a = {units.format_size(config.mux.s_a)}")
-        lines.append(f"s_m = {units.format_size(config.mux.s_m)}")
-        lines.append(f"f_v = {units.format_freq(config.mux.f_v)}")
-
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"duration = {units.format_time(config.duration)}")
-    if config.warmup is not None:
-        lines.append(f"warmup = {units.format_time(config.warmup)}")
-    lines.append(f"seed = {config.seed}")
-    lines.append("")
-    return "\n".join(lines)
+        sections.append(("mux", [(_MUX, config.mux)]))
+    sections.append(("run", [(_RUN, config)]))
+    lines = []
+    for name, parts in sections:
+        lines += ["", f"[{name}]"]
+        for table, obj in parts:
+            for key, codec in table.items():
+                value = None if obj is None else getattr(obj, codec.field or key)
+                if value is not None and value != codec.omit:
+                    lines.append(f"{key} = {codec.format(value)}")
+    return "\n".join(lines[1:] + [""])
 
 
 def load_scenario(path: str) -> ScenarioConfig:

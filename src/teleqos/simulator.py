@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
@@ -456,10 +456,7 @@ class Simulator:
 
 
 def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
-    sig_seed = flow.signal.seed if flow.signal.seed else seed
-    spec = sampling.SignalSpec(
-        kind=flow.signal.kind, amplitude=flow.signal.amplitude, seed=sig_seed
-    )
+    spec = flow.signal if flow.signal.seed else replace(flow.signal, seed=seed)
     samples = sampling.synth_haptic_trace(spec, duration)
     flags = sampling.deadband_filter(samples, flow.deadband)
     packets = sampling.vh_mux(flags, flow.video_rate, flow.header)
@@ -489,32 +486,31 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
         raise ConfigError("duration: must be finite and >= 0")
     sources: list[_Source] = []
     adaptive_mean = 0.0
-    for idx, flow in enumerate(config.flows):
-        if flow.kind == "tcp":
-            sources.append(_Source(idx, "tcp", size=int(round(config.net.s_tcp))))
-        elif flow.kind in ("cbr", "telehaptic"):
-            sources.append(
-                _Source(
-                    idx, flow.kind,
-                    size=int(round(flow.packet)),
-                    gap_ns=_ns(flow.gap),
-                    phase_ns=_ns(flow.phase),
-                )
-            )
-        else:  # adaptive
-            sched = _adaptive_schedule(flow, max(horizon, 1e-3), config.seed)
-            sources.append(_Source(idx, "adaptive", phase_ns=_ns(flow.phase), schedule=sched))
-            if horizon > 0 and sched:
-                adaptive_mean += sum(s for _, s, _ in sched) / horizon
-
     # the link holds every packet for at least one clock tick (the engine's
     # service time), so completions, deliveries and ACKs strictly increase
     ns_per_byte = 1e9 / config.net.mu
-    for src in sources:
-        sizes = [size for _, size, _ in src.schedule] if src.schedule is not None else [src.size]
+    for idx, flow in enumerate(config.flows):
+        if flow.kind == "tcp":
+            src = _Source(idx, "tcp", size=int(round(config.net.s_tcp)))
+            sizes = [src.size]
+        elif flow.kind in ("cbr", "telehaptic"):
+            src = _Source(
+                idx, flow.kind,
+                size=int(round(flow.packet)),
+                gap_ns=_ns(flow.gap),
+                phase_ns=_ns(flow.phase),
+            )
+            sizes = [src.size]
+        else:  # adaptive
+            sched = _adaptive_schedule(flow, max(horizon, 1e-3), config.seed)
+            src = _Source(idx, "adaptive", phase_ns=_ns(flow.phase), schedule=sched)
+            sizes = [size for _, size, _ in sched]
+            if horizon > 0 and sizes:
+                adaptive_mean += sum(sizes) / horizon
+        sources.append(src)
         if sizes and int(min(sizes) * ns_per_byte + 0.5) < 1:
             raise ConfigError(
-                f"flow {config.flows[src.flow].name!r}: a {min(sizes)} B packet takes "
+                f"flow {flow.name!r}: a {min(sizes)} B packet takes "
                 f"under 1 ns on the link; the nanosecond clock needs at least 1 ns"
             )
 

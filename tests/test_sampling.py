@@ -283,7 +283,20 @@ def test_instantaneous_rate_takes_equal_times_in_size_order():
     assert series.rates[0] == (2.0**53 + 2.0) / 0.001
 
 
+def test_instantaneous_rate_takes_an_array_of_pairs_like_a_list():
+    samples = synth_haptic_trace(SignalSpec(kind="contact-burst", seed=13), 5.0)
+    packets = vh_mux(deadband_filter(samples, 0.1), video_rate=400e3 / 8, header=87.0)
+    pairs = [(p.time, float(p.size)) for p in reversed(packets)]
+    from_list = instantaneous_rate(pairs, window=0.1)
+    from_array = instantaneous_rate(np.array(pairs), window=0.1)
+    assert np.array_equal(from_array.times, from_list.times)
+    assert np.array_equal(from_array.rates, from_list.rates)
+    assert (from_array.peak, from_array.mean) == (from_list.peak, from_list.mean)
+
+
 def test_instantaneous_rate_empty_stream():
     with pytest.raises(EmptyStream):
         instantaneous_rate([])
+    with pytest.raises(EmptyStream):
+        instantaneous_rate(np.empty((0, 2)))
 

@@ -18,7 +18,7 @@ from teleqos import (
     parse_scenario,
     render_scenario,
 )
-from teleqos.sampling import DEFAULT_HEADER
+from teleqos.scenario import DEFAULT_HEADER
 
 MBPS = 1e6 / 8.0
 
@@ -312,6 +312,7 @@ SCENARIO_ERRORS = [
      "line 23: unknown key 'bogus' in section [mux]"),
     ("[run]", "[run]\nbogus = 1", ScenarioParseError,
      "line 28: unknown key 'bogus' in section [run]"),
+    ("[run]", "[flow]\nkind = tcp\n[run]", ScenarioSemanticError, "unknown section [flow]"),
     # each required key missing
     ("mu = 6 Mbps\n", "", ScenarioSemanticError, "[network] is missing required key 'mu'"),
     ("tau = 8 ms\n", "", ScenarioSemanticError, "[network] is missing required key 'tau'"),
@@ -352,3 +353,41 @@ def test_scenario_error_names_section_key_and_line(old, new, error, message):
         parse_scenario(ERROR_BASE.replace(old, new, 1))
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_render_leaves_out_zero_phase_and_default_header(base_net):
+    flows = (
+        FlowSpec(name="cross", kind="cbr", rate=50000.0, packet=150.0),
+        FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=50000.0),
+    )
+    text = render_scenario(ScenarioConfig(net=base_net, flows=flows))
+    assert "phase" not in text and "header" not in text
+    assert "signal = contact-burst\namplitude = 1.0\nsignal_seed = 0\n" in text
+
+
+LAYOUT_ERRORS = [
+    ("haptic_delay = 25 ms", "haptic_delay = 25 ms\nhaptic_delay = 30 ms", ScenarioParseError,
+     "line 21: duplicate key 'haptic_delay'"),
+    ("[network]\n", "seed = 1\n[network]\n", ScenarioParseError, "line 1: key outside of any [section]"),
+    ("[mux]", "[mux", ScenarioParseError, "line 22: malformed section header '[mux'"),
+    ("[mux]", "[ ]", ScenarioParseError, "line 22: empty section name"),
+    ("s_a = 160 B", "s_a 160 B", ScenarioParseError, "line 23: expected key = value, got 's_a 160 B'"),
+    ("s_a = 160 B", "s_a =", ScenarioParseError, "line 23: expected key = value, got 's_a ='"),
+    ("[flow.media]", "[flow.]", ScenarioSemanticError, "flow section needs a name: [flow.NAME]"),
+]
+
+
+@pytest.mark.parametrize("old, new, error, message", LAYOUT_ERRORS)
+def test_scenario_layout_error_is_reported(old, new, error, message):
+    assert old in ERROR_BASE
+    with pytest.raises(error) as info:
+        parse_scenario(ERROR_BASE.replace(old, new, 1))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_scenario_without_network_or_flows_is_rejected():
+    with pytest.raises(ScenarioSemanticError, match=r"^missing \[network\] section$"):
+        parse_scenario("[run]\nseed = 1\n")
+    with pytest.raises(ScenarioSemanticError, match=r"^at least one \[flow.NAME\] section is required$"):
+        parse_scenario(ERROR_BASE.split("[flow.media]")[0])

@@ -11,6 +11,7 @@ from teleqos import (
     FlowSpec,
     NetworkParams,
     ScenarioConfig,
+    SignalSpec,
     baseline_text,
     build_simulator,
     delay_bounds,
@@ -27,6 +28,7 @@ from teleqos.simulator import (
     SimulationError,
     TcpSource,
     UnknownFlow,
+    _adaptive_schedule,
 )
 
 MBPS = 1e6 / 8.0
@@ -264,6 +266,21 @@ def test_build_rejects_packet_shorter_than_a_clock_tick(base_net, mu, packet):
     cfg = ScenarioConfig(net=net, flows=flows, duration=0.1, warmup=0.0)
     with pytest.raises(ConfigError, match="under 1 ns"):
         build_simulator(cfg)
+
+
+def test_adaptive_schedule_sets_the_tick_check_and_the_mean_rate():
+    vh = FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=50e3,
+                  signal=SignalSpec(kind="contact-burst", seed=3))
+    sizes = [size for _, size, _ in _adaptive_schedule(vh, 2.0, 1)]
+    fast = NetworkParams(mu=1e12, tau=1e-3, buf=14000.0, s_tcp=578.0)
+    with pytest.raises(ConfigError, match=f"^flow 'vh': a {min(sizes)} B packet takes under 1 ns"):
+        build_simulator(ScenarioConfig(net=fast, flows=(vh,), duration=2.0, warmup=0.0))
+    # a link exactly as fast as the adaptive mean rate leaves TCP nothing
+    mean = sum(sizes) / 2.0
+    tight = NetworkParams(mu=mean, tau=1e-3, buf=14000.0, s_tcp=578.0)
+    flows = (vh, FlowSpec(name="bulk", kind="tcp"))
+    with pytest.raises(ConfigError, match=rf"aggregate CBR rate {mean:.6g} B/s \(incl\. adaptive mean\)"):
+        build_simulator(ScenarioConfig(net=tight, flows=flows, duration=2.0, warmup=0.0))
 
 
 def test_determinism_byte_identical_traces(base_scenario):
