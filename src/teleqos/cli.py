@@ -30,10 +30,10 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load(args) -> ScenarioConfig:
+    """The scenario file with --seed, --duration and --warmup applied."""
     config = load_scenario(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    overrides = ((key, getattr(args, key, None)) for key in ("seed", "duration", "warmup"))
+    return replace(config, **{key: value for key, value in overrides if value is not None})
 
 
 def _cmd_analyze(args) -> int:
@@ -48,8 +48,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    sim = simulator.build_simulator(config, args.duration)
-    trace = simulator.run(sim, warmup=args.warmup, record=bool(args.trace))
+    trace = simulator.run(simulator.build_simulator(config), record=bool(args.trace))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_csv())
@@ -99,8 +98,6 @@ def _cmd_validate(args) -> int:
     rows = validation.run_validation(
         config, var, grid,
         nack_grid=nacks,
-        duration=args.duration,
-        warmup=args.warmup,
         jobs=args.jobs,
     )
     _write(validation.emit_validation(rows, args.format), args.out)
@@ -148,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="packet-level simulation of the scenario")
     s.add_argument("--config", required=True)
-    s.add_argument("--duration", type=float, required=True, help="simulated seconds")
+    s.add_argument("--duration", type=float, default=None,
+                   help="simulated seconds (default: the scenario's)")
     s.add_argument("--warmup", type=float, default=None, help="seconds excluded from metrics")
     s.add_argument("--trace", help="write the raw event trace CSV here")
     s.add_argument("--out")

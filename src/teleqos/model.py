@@ -45,6 +45,13 @@ class SlotIndexError(IndexError):
 # domain types
 
 
+def _require_finite(params) -> None:
+    """Raise InvalidParams naming the first non-finite field of a value type."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Bottleneck link and TCP source parameters.
@@ -63,9 +70,7 @@ class NetworkParams:
     n_ack: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("mu", "tau", "buf", "s_tcp", "n_ack"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(self)
         if self.mu <= 0:
             raise InvalidParams(f"link capacity must be positive, got {self.mu}")
         if self.tau < 0:
@@ -90,6 +95,7 @@ class CbrAggregate:
     rate_total: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rate_total < 0:
             raise InvalidParams(f"CBR rate must be >= 0, got {self.rate_total}")
 
@@ -138,6 +144,7 @@ class HapticFlowSpec:
     pkt_cross: float   # CBR cross-traffic packet size, bytes
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rate_h <= 0 or self.gap_h <= 0 or self.pkt_h <= 0:
             raise InvalidParams("telehaptic rate, gap and packet size must be positive")
         if self.rate_cross < 0:
@@ -163,6 +170,9 @@ class MediaQos:
     jitter: float
     loss: float
 
+    def __post_init__(self) -> None:
+        _require_finite(self)
+
 
 @dataclass(frozen=True)
 class QosSpec:
@@ -187,6 +197,7 @@ class AvMuxSpec:
     f_v: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.s_a <= 0 or self.s_m <= 0 or self.f_v <= 0:
             raise InvalidParams("mux parameters must be positive")
 

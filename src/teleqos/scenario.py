@@ -168,10 +168,8 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.duration) or not math.isfinite(self.warmup or 0.0):
-            raise ScenarioSemanticError("duration and warmup must be finite")
-        if self.duration < 0:
-            raise ScenarioSemanticError("duration must be >= 0")
+        if not 0 <= self.duration < math.inf:
+            raise ScenarioSemanticError("duration must be finite and >= 0")
         if self.warmup is not None and not 0 <= self.warmup <= self.duration:
             raise ScenarioSemanticError("warmup must lie within [0, duration]")
         names = [f.name for f in self.flows]
@@ -207,13 +205,13 @@ class ScenarioConfig:
         raise KeyError(name)
 
     def with_flow_rate(self, name: str, rate: float) -> "ScenarioConfig":
-        """Copy with one fixed-rate flow's rate replaced (gap kept, packet rescaled)."""
+        """Copy with one fixed-rate flow's rate replaced (packet kept, gap rescaled)."""
         flows = []
         for f in self.flows:
             if f.name == name:
                 if f.kind not in ("cbr", "telehaptic"):
                     raise ScenarioSemanticError(f"flow {name!r} has no fixed rate to sweep")
-                flows.append(replace(f, rate=rate, packet=f.packet, gap=f.packet / rate))
+                flows.append(replace(f, rate=rate, gap=f.packet / rate))
             else:
                 flows.append(f)
         return replace(self, flows=tuple(flows))

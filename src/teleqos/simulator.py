@@ -10,8 +10,9 @@ the same tau. The clock is integer nanoseconds and the engine contains no
 randomness, so identical scenarios produce byte-identical traces.
 
 `run()` is the engine: one function owns the event loop, its metrics and
-its loss-cycle state. It raises SimulationError rather than return a trace
-when a post-condition breaks: a flow's conservation ledger does not
+its loss-cycle state; it simulates the scenario's `duration` and measures
+after its `effective_warmup`. It raises SimulationError rather than return
+a trace when a post-condition breaks: a flow's conservation ledger does not
 balance, the queue exceeds its capacity, or the link idles with packets
 waiting.
 
@@ -361,8 +362,6 @@ class Trace:
     """Simulation output: metrics, cycle data and (optionally) raw records."""
 
     config: ScenarioConfig
-    duration: float
-    warmup: float
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
     records: list | None
@@ -447,12 +446,11 @@ class _Source:
 
 @dataclass(frozen=True)
 class Simulator:
-    """A validated scenario bound to concrete sources; run() executes it for
-    at most `horizon` seconds, the span the adaptive schedules cover."""
+    """A validated scenario bound to concrete sources; the adaptive
+    schedules cover the scenario's duration, which run() executes."""
 
     config: ScenarioConfig
     sources: tuple[_Source, ...]
-    horizon: float
 
 
 def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
@@ -473,17 +471,14 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
     return tuple(sched)
 
 
-def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Simulator:
-    """Validate the scenario and materialize its traffic sources for a
-    horizon of `duration` seconds (default: the scenario's duration).
+def build_simulator(config: ScenarioConfig) -> Simulator:
+    """Validate the scenario and materialize its traffic sources for the
+    scenario's duration.
 
     Raises ConfigError with a field-level message; in particular the
     aggregate CBR-like rate (including the realized mean rate of adaptive
     flows) must stay below the link capacity when a TCP source is present.
     """
-    horizon = duration if duration is not None else config.duration
-    if not 0 <= horizon < math.inf:
-        raise ConfigError("duration: must be finite and >= 0")
     sources: list[_Source] = []
     adaptive_mean = 0.0
     # the link holds every packet for at least one clock tick (the engine's
@@ -502,11 +497,11 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
             )
             sizes = [src.size]
         else:  # adaptive
-            sched = _adaptive_schedule(flow, max(horizon, 1e-3), config.seed)
+            sched = _adaptive_schedule(flow, max(config.duration, 1e-3), config.seed)
             src = _Source(idx, "adaptive", phase_ns=_ns(flow.phase), schedule=sched)
             sizes = [size for _, size, _ in sched]
-            if horizon > 0 and sizes:
-                adaptive_mean += sum(sizes) / horizon
+            if config.duration > 0 and sizes:
+                adaptive_mean += sum(sizes) / config.duration
         sources.append(src)
         if sizes and int(min(sizes) * ns_per_byte + 0.5) < 1:
             raise ConfigError(
@@ -521,27 +516,23 @@ def build_simulator(config: ScenarioConfig, duration: float | None = None) -> Si
                 f"flows: aggregate CBR rate {total:.6g} B/s (incl. adaptive mean) "
                 f">= link capacity {config.net.mu:.6g} B/s with a TCP source present"
             )
-    return Simulator(config, tuple(sources), horizon)
+    return Simulator(config, tuple(sources))
 
 
 # --------------------------------------------------------------------------
 # the event loop
 
 
-def run(sim: Simulator, warmup: float | None = None, record: bool = False) -> Trace:
-    """Execute the simulation deterministically for the simulator's horizon.
+def run(sim: Simulator, record: bool = False) -> Trace:
+    """Execute the simulation deterministically for the scenario's duration.
 
-    warmup defaults to the scenario's, capped at the horizon; metrics cover
-    only events past the warmup, raw records (record=True) cover everything.
-    Raises SimulationError if the link idles while packets wait, the queue
-    exceeds its capacity, or a flow's packets do not balance at the end.
+    Metrics cover only events past the scenario's effective warmup; raw
+    records (record=True) cover everything. Raises SimulationError if the
+    link idles while packets wait, the queue exceeds its capacity, or a
+    flow's packets do not balance at the end.
     """
     cfg, net = sim.config, sim.config.net
-    if warmup is None:
-        warmup = min(cfg.effective_warmup, sim.horizon)
-    if not 0 <= warmup <= sim.horizon:
-        raise ConfigError("run: need horizon >= warmup >= 0")
-    duration_ns, warmup_ns, tau_ns = _ns(sim.horizon), _ns(warmup), _ns(net.tau)
+    duration_ns, warmup_ns, tau_ns = _ns(cfg.duration), _ns(cfg.effective_warmup), _ns(net.tau)
     ns_per_byte = 1e9 / net.mu
     # TCP drops closer than one worst-case RTT belong to the same overflow
     # event; each new event closes the running loss cycle and opens the next
@@ -755,8 +746,6 @@ def run(sim: Simulator, warmup: float | None = None, record: bool = False) -> Tr
 
     return Trace(
         config=cfg,
-        duration=duration_ns / 1e9,
-        warmup=warmup_ns / 1e9,
         metrics=dict(zip(names, metrics)),
         cycles=cycles,
         records=records,

@@ -126,8 +126,6 @@ def _one_point(
     var: str,
     value: float,
     nack: int,
-    duration: float | None,
-    warmup: float | None,
     simulate: bool,
 ) -> ValidationRow:
     cfg = _sweep_config(config, var, value)
@@ -141,10 +139,9 @@ def _one_point(
     dmin_s = dmax_s = jit_s = None
     if simulate:
         tele_name = next(f.name for f in cfg.flows if f.kind == "telehaptic")
-        sim = simulator.build_simulator(cfg, duration)
-        trace = simulator.run(sim, warmup=warmup)
+        trace = simulator.run(simulator.build_simulator(cfg))
         m = trace.metrics[tele_name]
-        jit_s = m.max_positive_jitter
+        jit_s = m.max_positive_jitter if m.delivered else None
         # d_max is a bound, so the run-wide maximum is compared; d_min uses
         # the mean of per-cycle minima to smooth recovery transients
         dmax_s = m.max_delay
@@ -170,17 +167,17 @@ def run_validation(
     simulate: bool = True,
     jobs: int = 1,
 ) -> list[ValidationRow]:
-    """One ValidationRow per (grid value, n_ack), sorted by (control, nack)."""
+    """One ValidationRow per (grid value, n_ack), sorted by (control, nack);
+    duration and warmup, where given, replace the scenario's run window."""
+    window = {"duration": duration, "warmup": warmup}
+    config = replace(config, **{key: value for key, value in window.items() if value is not None})
     tasks = [(value, nack) for value in sorted(grid) for nack in nack_grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_one_point, config, var, v, n, duration, warmup, simulate)
-                for v, n in tasks
-            ]
+            futures = [pool.submit(_one_point, config, var, v, n, simulate) for v, n in tasks]
             rows = [f.result() for f in futures]
     else:
-        rows = [_one_point(config, var, v, n, duration, warmup, simulate) for v, n in tasks]
+        rows = [_one_point(config, var, v, n, simulate) for v, n in tasks]
     rows.sort(key=lambda r: (r.control, r.nack))
     return rows
 
@@ -208,6 +205,11 @@ def compliance_from_simulation(config: ScenarioConfig, trace: simulator.Trace) -
                     prev_total + total,
                     prev_dropped + metrics.media_dropped_bytes.get(tag, 0.0),
                 )
+    if "haptic" not in observed:
+        raise ScenarioSemanticError(
+            f"no haptic bytes measured in the window from {config.effective_warmup:g} s to "
+            f"{config.duration:g} s, so there is no loss verdict"
+        )
     for media, limit in limits.items():
         if media in observed:
             total, dropped = observed[media]

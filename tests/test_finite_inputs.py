@@ -9,20 +9,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teleqos import (
+    AvMuxSpec,
+    CbrAggregate,
     FlowSpec,
+    HapticFlowSpec,
     InvalidParams,
+    MediaQos,
     NetworkParams,
     ScenarioConfig,
     ScenarioError,
     ScenarioSemanticError,
     SignalSpec,
-    build_simulator,
     parse_scenario,
     render_scenario,
     units,
 )
 from teleqos.sampling import InvalidSignalSpec
-from teleqos.simulator import ConfigError
 
 MBPS = 1e6 / 8.0
 
@@ -68,6 +70,22 @@ def test_network_params_reject_non_finite(key, value):
         NetworkParams(**fields)
 
 
+# valid fields of each model value type besides NetworkParams
+MODEL_TYPES = {
+    CbrAggregate: dict(rate_total=3 * MBPS),
+    HapticFlowSpec: dict(rate_h=137e3, gap_h=1e-3, pkt_h=137.0, rate_cross=1e5, pkt_cross=150.0),
+    MediaQos: dict(delay=0.03, jitter=0.01, loss=0.1),
+    AvMuxSpec: dict(s_a=160.0, s_m=58.0, f_v=25.0),
+}
+
+
+@given(st.sampled_from([(cls, key) for cls, kw in MODEL_TYPES.items() for key in kw]), non_finite)
+def test_model_value_types_reject_non_finite(case, value):
+    cls, key = case
+    with pytest.raises(InvalidParams, match=f"^{key} must be finite"):
+        cls(**dict(MODEL_TYPES[cls], **{key: value}))
+
+
 FLOW_FIELDS = {
     "rate": dict(kind="cbr", rate=1000.0, packet=100.0, gap=0.1),
     "packet": dict(kind="cbr", rate=1000.0, packet=100.0, gap=0.1),
@@ -93,14 +111,6 @@ def test_scenario_config_rejects_non_finite(key, value):
     fields[key] = value
     with pytest.raises(ScenarioSemanticError):
         ScenarioConfig(net=net, flows=(FlowSpec(name="bulk", kind="tcp"),), **fields)
-
-
-@given(non_finite)
-def test_build_simulator_rejects_non_finite_run_length(value):
-    net = NetworkParams(mu=6 * MBPS, tau=8e-3, buf=14000.0, s_tcp=578.0)
-    cfg = ScenarioConfig(net=net, flows=(FlowSpec(name="bulk", kind="tcp"),), duration=1.0)
-    with pytest.raises(ConfigError, match="finite"):
-        build_simulator(cfg, value)
 
 
 @given(non_finite)

@@ -67,6 +67,11 @@ def heavy_load_n_ack_2():
     return replace(cfg, net=replace(cfg.net, n_ack=2))
 
 
+def five_seconds(name):
+    """The golden scenario `name`, run for 5 s with a 1 s warmup."""
+    return replace(GOLDEN[name][0](), duration=5.0, warmup=1.0)
+
+
 GOLDEN = {
     "baseline": (baseline, "1db70f19e6d518e44af5a727ed34d902532bc5ef1b83ffeb011002777a9dc060"),
     "adaptive-contact-burst": (
@@ -90,14 +95,13 @@ GOLDEN_CYCLES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trace_digest(name):
-    make, digest = GOLDEN[name]
-    trace = run(build_simulator(make(), 5.0), warmup=1.0, record=True)
-    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest
+    trace = run(build_simulator(five_seconds(name)), record=True)
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == GOLDEN[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_cycle_digest(name):
-    trace = run(build_simulator(GOLDEN[name][0](), 5.0), warmup=1.0)
+    trace = run(build_simulator(five_seconds(name)))
     table = "".join(
         repr((
             c.start_ns, c.end_ns, c.q_min, c.q_max, c.w_min, c.losses,
@@ -112,10 +116,10 @@ def test_golden_cycle_digest(name):
 def test_recording_does_not_change_results(name):
     # the queue occupancy of a raw record is read only when recording, so
     # both paths must agree on every metric, cycle and queue extreme
-    sim = build_simulator(GOLDEN[name][0](), 5.0)
-    recorded = run(sim, warmup=1.0, record=True)
+    sim = build_simulator(five_seconds(name))
+    recorded = run(sim, record=True)
     assert recorded.metrics["media"].media_bytes
-    assert replace(recorded, records=None) == run(sim, warmup=1.0, record=False)
+    assert replace(recorded, records=None) == run(sim, record=False)
 
 
 # sha256 of each signal kind's 20 s adaptive stream (seed 1, deadband 0.1,

@@ -1,6 +1,7 @@
 """Scenario config format: parsing, validation errors, canonical round-trip."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -189,6 +190,11 @@ def test_default_warmup_policy():
     assert long.effective_warmup == 50.0  # 10% of the run
     short = parse_scenario(baseline_text().replace("duration = 60 s", "duration = 10 s").replace("warmup = 20 s", ""))
     assert short.effective_warmup == 5.0  # capped at half the run
+
+
+def test_scenario_rejects_warmup_past_duration(base_scenario):
+    with pytest.raises(ScenarioSemanticError, match="warmup"):
+        replace(base_scenario, duration=1.0, warmup=2.0)
 
 
 # every key of every section, rendered as the format pins it: canonical

@@ -3,6 +3,7 @@ machine, plus randomized whole-run invariants (conservation, work
 conservation, capacity, determinism, steady-state structure)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -165,7 +166,7 @@ def test_conservation_capacity_work_conservation():
     rng = random.Random(42)
     for _ in range(12):
         cfg = random_scenario(rng)
-        trace = run(build_simulator(cfg), warmup=0.0)
+        trace = run(build_simulator(cfg))
         assert trace.work_violations == 0
         assert trace.queue_max_pw is not None and trace.queue_max_pw <= cfg.net.buf
         for name, m in trace.metrics.items():
@@ -177,7 +178,8 @@ def test_conservation_capacity_work_conservation():
 def test_conservation_with_packets_on_the_delivery_line():
     # 50 ms of the shipped scenario ends with packets still crossing the
     # tau = 8 ms link: the end census must count them
-    trace = run(build_simulator(parse_scenario(baseline_text()), 0.05), record=True)
+    cfg = replace(parse_scenario(baseline_text()), duration=0.05, warmup=0.05)
+    trace = run(build_simulator(cfg), record=True)
     on_line = {name: 0 for name in trace.metrics}
     inside = dict(on_line)
     for row in trace.to_csv().splitlines()[1:]:
@@ -202,7 +204,7 @@ def test_conservation_failure_raises(base_scenario, monkeypatch):
 
     monkeypatch.setattr(DropTailQueue, "offer", leaky_offer)
     with pytest.raises(SimulationError, match="in flight"):
-        run(build_simulator(base_scenario, 0.5), warmup=0.0)
+        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)))
 
 
 def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch):
@@ -210,7 +212,7 @@ def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch):
     # waiting on an idle link; the engine must stop at the first such event
     monkeypatch.setattr(DropTailQueue, "start_next", lambda self, t: self.packets[0])
     with pytest.raises(SimulationError, match="link idle at t = 0 ns"):
-        run(build_simulator(base_scenario, 0.5), warmup=0.0)
+        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)))
 
 
 def _events_at(trace) -> dict[int, list[tuple[str, str]]]:
@@ -284,13 +286,14 @@ def test_adaptive_schedule_sets_the_tick_check_and_the_mean_rate():
 
 
 def test_determinism_byte_identical_traces(base_scenario):
-    t1 = run(build_simulator(base_scenario, 5.0), warmup=1.0, record=True)
-    t2 = run(build_simulator(base_scenario, 5.0), warmup=1.0, record=True)
+    cfg = replace(base_scenario, duration=5.0, warmup=1.0)
+    t1 = run(build_simulator(cfg), record=True)
+    t2 = run(build_simulator(cfg), record=True)
     assert t1.to_csv() == t2.to_csv()
 
 
 def test_trace_csv_shape(base_scenario):
-    trace = run(build_simulator(base_scenario, 1.0), warmup=0.0, record=True)
+    trace = run(build_simulator(replace(base_scenario, duration=1.0, warmup=0.0)), record=True)
     lines = trace.to_csv().splitlines()
     assert lines[0] == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts"
     assert len(lines) > 100
@@ -300,12 +303,12 @@ def test_trace_csv_shape(base_scenario):
 
 def test_queue_never_empties_in_steady_state(base_scenario):
     # full-utilization regime: B > 2*mu*tau and a live TCP source
-    trace = run(build_simulator(base_scenario), warmup=15.0)
+    trace = run(build_simulator(replace(base_scenario, warmup=15.0)))
     assert trace.queue_min_pw > 0
 
 
 def test_steady_state_cycles(base_scenario):
-    trace = run(build_simulator(base_scenario), warmup=10.0)
+    trace = run(build_simulator(base_scenario))
     stats = extract_cycles(trace)
     assert len(stats.cycles) >= 10
     # the sawtooth is periodic: the minimum window repeats essentially
@@ -333,7 +336,7 @@ def test_steady_state_cycles(base_scenario):
 def test_collect_metrics_unknown_flow(base_scenario):
     # a name that is not a flow of the scenario raises UnknownFlow from the
     # per-cycle lookups; a real flow has metrics and cycle extremes
-    trace = run(build_simulator(base_scenario, 3.0), warmup=1.0)
+    trace = run(build_simulator(replace(base_scenario, duration=3.0, warmup=1.0)))
     stats = extract_cycles(trace)
     with pytest.raises(UnknownFlow):
         stats.observed_d_min("nope")
@@ -356,23 +359,24 @@ def test_same_simulator_runs_twice_identically(base_net):
     assert run(sim, record=True).to_csv() == first
 
 
-def test_run_past_horizon_raises(base_scenario):
-    sim = build_simulator(base_scenario, 5.0)
-    assert sim.horizon == 5.0
-    assert run(sim, warmup=0.0).duration == 5.0
+def test_frozen_simulator_runs_the_scenario_duration(base_scenario):
+    # the 1 ms media stream starts at 0, so a 5 s run ends with its 5001st
+    # packet, sent at t = 5 s exactly
+    sim = build_simulator(replace(base_scenario, duration=5.0, warmup=0.0))
+    assert run(sim).metrics["media"].created_total == 5001
     with pytest.raises(AttributeError):
         sim.sources = ()
 
 
 def test_zero_duration_gives_empty_trace(base_scenario):
-    trace = run(build_simulator(base_scenario, 0.0), warmup=0.0)
+    trace = run(build_simulator(replace(base_scenario, duration=0.0, warmup=0.0)))
     assert all(m.created_total == 0 for m in trace.metrics.values())
 
 
 def test_pure_cbr_trace_has_no_cycles(base_net):
     flows = (FlowSpec(name="media", kind="telehaptic", rate=1.096 * MBPS, packet=137.0, gap=1e-3),)
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=3.0, warmup=0.0)
-    trace = run(build_simulator(cfg), warmup=0.0)
+    trace = run(build_simulator(cfg))
     with pytest.raises(InsufficientCycles):
         extract_cycles(trace)
 
@@ -383,7 +387,7 @@ def test_single_packet_flow_has_zero_jitter(base_net):
         FlowSpec(name="media", kind="telehaptic", rate=1.096 * MBPS, packet=137.0, gap=1e-3),
     )
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=3.0, warmup=0.0)
-    trace = run(build_simulator(cfg), warmup=0.0)
+    trace = run(build_simulator(cfg))
     m = trace.metrics["lonely"]
     assert m.delivered == 1
     assert m.max_positive_jitter == 0.0
@@ -401,7 +405,7 @@ def test_jitter_bound_realized_at_heavy_load(base_net):
         FlowSpec(name="cross", kind="cbr", rate=(5.5 - 1.096) * MBPS, packet=150.0),
     )
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=20.0, warmup=5.0)
-    trace = run(build_simulator(cfg), warmup=5.0)
+    trace = run(build_simulator(cfg))
     jit_a = haptic_jitter_max(base_net, haptic_spec_of(cfg))
     assert trace.metrics["media"].max_positive_jitter == pytest.approx(jit_a, rel=0.05)
 
@@ -435,14 +439,9 @@ def test_build_rejects_overload_with_tcp(base_net):
         )
 
 
-def test_run_rejects_bad_warmup(base_scenario):
-    with pytest.raises(Exception, match="warmup"):
-        run(build_simulator(base_scenario, 1.0), warmup=2.0)
-
-
 def test_delays_below_hard_bound(base_scenario):
     # every delivered packet's delay is at most tau + B/mu
-    trace = run(build_simulator(base_scenario, 10.0), warmup=2.0)
+    trace = run(build_simulator(replace(base_scenario, duration=10.0, warmup=2.0)))
     bound = base_scenario.net.tau + base_scenario.net.buf / base_scenario.net.mu
     for m in trace.metrics.values():
         if m.max_delay is not None:

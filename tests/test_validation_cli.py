@@ -14,6 +14,7 @@ from teleqos import (
     build_simulator,
     parse_scenario,
     run,
+    simulator,
 )
 from teleqos.cli import main
 from teleqos.validation import (
@@ -98,9 +99,14 @@ def test_parallel_jobs_match_serial_with_simulation(base_cfg):
     assert serial == parallel
 
 
+def test_empty_measurement_window_gives_no_jitter(base_cfg):
+    (row,) = run_validation(base_cfg, "R", [3 * MBPS], nack_grid=(1,), duration=1.0, warmup=1.0)
+    assert row.jit_s is None and row.dmin_s is None and row.dmax_s is None
+
+
 def test_compliance_from_simulation(base_cfg):
-    trace = run(build_simulator(base_cfg, 6.0), warmup=2.0)
-    report = compliance_from_simulation(base_cfg, trace)
+    cfg = replace(base_cfg, duration=6.0, warmup=2.0)
+    report = compliance_from_simulation(cfg, run(build_simulator(cfg)))
     names = [c.name for c in report.conditions]
     assert names[:4] == ["stability", "haptic_delay", "haptic_jitter", "packet_size"]
     assert "haptic_loss" in names and "video_loss" in names
@@ -167,6 +173,36 @@ def test_cli_simulate_with_trace(tmp_path, capsys):
     assert "media:" in out
     header = trace_path.read_text().splitlines()[0]
     assert header == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts"
+
+
+@pytest.mark.parametrize("argv, window", [
+    ([], (3.0, 1.0)),
+    (["--duration", "2"], (2.0, 1.0)),
+    (["--warmup", "0.5"], (3.0, 0.5)),
+])
+def test_cli_simulate_runs_the_scenario_window(tmp_path, capsys, monkeypatch, argv, window):
+    # --duration and --warmup override the file's run window, which is
+    # the default
+    text = baseline_text().replace("duration = 60 s", "duration = 3 s")
+    path = write_cfg(tmp_path, text.replace("warmup = 20 s", "warmup = 1 s"))
+    built = []
+    build = simulator.build_simulator
+    monkeypatch.setattr(simulator, "build_simulator", lambda cfg: built.append(cfg) or build(cfg))
+    assert main(["simulate", "--config", path, *argv]) == 0
+    assert [(cfg.duration, cfg.warmup) for cfg in built] == [window]
+
+
+@pytest.mark.parametrize("duration, message", [
+    ("10", "warmup must lie within"),
+    ("20", "no haptic bytes"),
+])
+def test_cli_simulate_rejects_an_empty_measurement_window(tmp_path, capsys, duration, message):
+    # the shipped scenario warms up for 20 s: a shorter run is ill-posed,
+    # and a run that ends at the warmup measures nothing to judge
+    path = write_cfg(tmp_path, baseline_text())
+    assert main(["simulate", "--config", path, "--duration", duration]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "overall" not in captured.out
 
 
 def test_cli_validate_csv(tmp_path, capsys):
