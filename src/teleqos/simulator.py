@@ -48,7 +48,6 @@ RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
 # trace record event names, indexed by code
 REC_EVENTS = ("send", "enqueue", "drop", "dequeue", "deliver", "ack", "window-change")
 REC_SEND, REC_ENQ, REC_DROP, REC_DEQ, REC_DELIV, REC_ACK, REC_WIN = range(7)
-CSV_BLOCK = 16384  # records formatted per block by Trace.to_csv
 
 
 class ConfigError(ValueError):
@@ -151,12 +150,11 @@ class TcpSource:
     """
 
     __slots__ = (
-        "flow", "size", "max_burst", "cwnd", "ssthresh", "phase", "next_seq",
+        "size", "max_burst", "cwnd", "ssthresh", "phase", "next_seq",
         "high_ack", "dup_count", "recover", "ack_credits", "last_progress_ns",
     )
 
-    def __init__(self, flow: int, size: int, n_ack: int = 1):
-        self.flow = flow
+    def __init__(self, size: int, n_ack: int = 1):
         self.size = size
         # at most n compensating packets plus one probing packet leave per
         # ACK arrival; this is the congestion-avoidance transmission pattern
@@ -359,44 +357,22 @@ def _cycle_mean(per_cycle: list[dict], flow: str) -> float:
 
 @dataclass
 class Trace:
-    """Simulation output: metrics, cycle data and (optionally) raw records."""
+    """Simulation output: metrics, cycle data and (with record=True) the raw
+    trace as CSV lines, each ending in a newline, written by run()."""
 
     config: ScenarioConfig
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
-    records: list | None
+    records: list[str] | None
     queue_min_pw: int | None
     queue_max_pw: int | None
-    work_violations: int  # always 0: run() raises at the first idle-link violation
     in_flight_end: dict[str, int]
 
     def to_csv(self) -> str:
         """Raw trace as CSV (requires record=True at run time)."""
         if self.records is None:
             raise SimulationError("trace was run without record=True")
-        records = self.records
-        names = [f.name for f in self.config.flows]
-        labels = [[f"{event},{name}" for name in names] for event in REC_EVENTS]
-        cwnd_text = _CwndText()
-        blocks = ["time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"]
-        # format one block of records at a time, so the line strings of
-        # only one block are alive at once
-        for start in range(0, len(records), CSV_BLOCK):
-            lines = [
-                f"{t},{labels[code][flow]},{seq},{size},{occ},{cwnd_text[cwnd]}"
-                for t, code, flow, seq, size, occ, cwnd in records[start:start + CSV_BLOCK]
-            ]
-            lines.append("")
-            blocks.append("\n".join(lines))
-        return "".join(blocks)
-
-
-class _CwndText(dict):
-    """cwnd value -> its CSV text, formatted on first use; None -> ''."""
-
-    def __missing__(self, cwnd):
-        text = self[cwnd] = "" if cwnd is None else f"{cwnd:.3f}"
-        return text
+        return "".join(["time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n", *self.records])
 
 
 def extract_cycles(trace: Trace) -> CycleStats:
@@ -526,10 +502,10 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
 def run(sim: Simulator, record: bool = False) -> Trace:
     """Execute the simulation deterministically for the scenario's duration.
 
-    Metrics cover only events past the scenario's effective warmup; raw
-    records (record=True) cover everything. Raises SimulationError if the
-    link idles while packets wait, the queue exceeds its capacity, or a
-    flow's packets do not balance at the end.
+    Metrics cover only events past the scenario's effective warmup; the
+    raw trace (record=True, one CSV line per event) covers everything.
+    Raises SimulationError if the link idles while packets wait, the queue
+    exceeds its capacity, or a flow's packets do not balance at the end.
     """
     cfg, net = sim.config, sim.config.net
     duration_ns, warmup_ns, tau_ns = _ns(cfg.duration), _ns(cfg.effective_warmup), _ns(net.tau)
@@ -545,14 +521,28 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     capacity = queue.capacity
     names = [f.name for f in cfg.flows]
     metrics = [FlowMetrics(flow=name) for name in names]
-    records: list | None = [] if record else None
-    rec = records.append if records is not None else None
     tcp_id = next((src.flow for src in sim.sources if src.kind == "tcp"), -1)
     tcp = rcv = tcp_breakdown = None
     if tcp_id >= 0:
-        tcp = TcpSource(tcp_id, sim.sources[tcp_id].size, net.n_ack)
+        tcp = TcpSource(sim.sources[tcp_id].size, net.n_ack)
         rcv = TcpReceiver(net.n_ack)
         tcp_breakdown = {"tcp-data": tcp.size}
+    records: list[str] | None = [] if record else None
+    rec = None
+    if records is not None:
+        labels = [[f"{event},{name}" for name in names] for event in REC_EVENTS]
+        cwnd_text: dict[float, str] = {}
+        add_line = records.append
+
+        def rec(t, code, flow, seq, size, occ):
+            # TCP rows carry the window as it stands; other rows leave it empty
+            cwnd = ""
+            if flow == tcp_id:
+                w = tcp.cwnd
+                cwnd = cwnd_text.get(w)
+                if cwnd is None:
+                    cwnd = cwnd_text[w] = f"{w:.3f}"
+            add_line(f"{t},{labels[code][flow]},{seq},{size},{occ},{cwnd}\n")
 
     # the next arrival of each open-loop flow and the TCP packets sent
     # but not yet queued, as (t, flow, seq, size, breakdown); no two
@@ -572,7 +562,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     def emit_tcp(t, sends):
         for seq in sends:
             if rec:
-                rec((t, REC_SEND, tcp_id, seq, tcp.size, occupancy(t), tcp.cwnd))
+                rec(t, REC_SEND, tcp_id, seq, tcp.size, occupancy(t))
             heappush(heap, (t, tcp_id, seq, tcp.size, tcp_breakdown))
 
     if duration_ns > 0:
@@ -625,7 +615,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 if pw:
                     m.created += 1
                 if rec and stream is not None:
-                    rec((t, REC_SEND, flow, seq, size, occupancy(t), None))
+                    rec(t, REC_SEND, flow, seq, size, occupancy(t))
                 pkt = (flow, seq, size, t, breakdown)
                 code = REC_ENQ
                 if not offer(pkt, t):
@@ -638,8 +628,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                                 m.media_dropped_bytes.get(tag, 0.0) + nbytes
                             )
                     if rec:
-                        rec((t, REC_DROP, flow, seq, size, occupancy(t),
-                             tcp.cwnd if flow == tcp_id else None))
+                        rec(t, REC_DROP, flow, seq, size, occupancy(t))
                     if flow == tcp_id:
                         if last_tcp_drop is not None and t - last_tcp_drop <= merge_gap_ns:
                             cyc.losses += 1
@@ -670,8 +659,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                     if occ > cyc.q_max:
                         cyc.q_max = occ
                 if rec:
-                    rec((t, code, pkt[0], pkt[1], pkt[2], occ,
-                         tcp.cwnd if pkt[0] == tcp_id else None))
+                    rec(t, code, pkt[0], pkt[1], pkt[2], occ)
                 if waiting and queue.in_service is None:
                     link_t = t + int(start_next(t)[2] * ns_per_byte + 0.5)
 
@@ -680,8 +668,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
             m = metrics[flow]
             m.delivered_total += 1
             if rec:
-                rec((t, REC_DELIV, flow, seq, size, occupancy(t),
-                     tcp.cwnd if flow == tcp_id else None))
+                rec(t, REC_DELIV, flow, seq, size, occupancy(t))
             if t >= warmup_ns:
                 m.delivered += 1
                 for tag, nbytes in breakdown.items():
@@ -713,10 +700,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
             ack_seq = acks.popleft()[1]
             before = tcp.cwnd
             if rec:
-                rec((t, REC_ACK, tcp_id, ack_seq, ACK_SIZE, occupancy(t), before))
+                rec(t, REC_ACK, tcp_id, ack_seq, ACK_SIZE, occupancy(t))
             sends = tcp.on_ack(ack_seq, t)
             if rec and tcp.cwnd != before:
-                rec((t, REC_WIN, tcp_id, ack_seq, 0, occupancy(t), tcp.cwnd))
+                rec(t, REC_WIN, tcp_id, ack_seq, 0, occupancy(t))
             if cyc is not None and tcp.cwnd < cyc.w_min:
                 cyc.w_min = tcp.cwnd
             emit_tcp(t, sends)
@@ -751,6 +738,5 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         records=records,
         queue_min_pw=q_min_pw,
         queue_max_pw=q_max_pw,
-        work_violations=0,
         in_flight_end=dict(zip(names, in_flight)),
     )
