@@ -205,11 +205,8 @@ class TcpSource:
                 # deflate the inflated window by the amount acknowledged
                 self.cwnd = max(self.ssthresh, self.cwnd - newly + 1.0)
                 return [self.high_ack + 1] + self._new_sends(self.max_burst - 1)
-            if self.phase == SS:
+            if self.phase == SS:  # only before the first loss: ssthresh is still inf
                 self.cwnd += newly
-                if self.cwnd >= self.ssthresh:
-                    self.phase = CA
-                    self.ack_credits = 0.0
             else:
                 self.ack_credits += newly
                 if self.ack_credits >= self.cwnd - 1e-9:
@@ -451,9 +448,10 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     """Validate the scenario and materialize its traffic sources for the
     scenario's duration.
 
-    Raises ConfigError with a field-level message; in particular the
-    aggregate CBR-like rate (including the realized mean rate of adaptive
-    flows) must stay below the link capacity when a TCP source is present.
+    Raises ConfigError with a field-level message; in particular, when a
+    TCP source is present, n_ack must be 1 or 2 and the aggregate CBR-like
+    rate (including the realized mean rate of adaptive flows) must stay
+    below the link capacity.
     """
     sources: list[_Source] = []
     adaptive_mean = 0.0
@@ -486,6 +484,12 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
             )
 
     if any(src.kind == "tcp" for src in sources):
+        if config.net.n_ack > 2:
+            raise ConfigError(
+                f"n_ack = {config.net.n_ack} with a TCP source: the receiver has no "
+                f"delayed-ACK timer, and RFC 5681 section 4.2 asks for an ACK at least "
+                f"every second full-sized segment"
+            )
         total = config.fixed_cbr_rate + adaptive_mean
         if total >= config.net.mu:
             raise ConfigError(
@@ -514,7 +518,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     # event; each new event closes the running loss cycle and opens the next
     merge_gap_ns = _ns(2 * net.tau + net.buf / net.mu)
 
-    queue = DropTailQueue(int(round(net.buf)), net.mu)
+    queue = DropTailQueue(int(net.buf), net.mu)  # floored: occupancy never exceeds B
     offer, occupancy = queue.offer, queue.occupancy
     start_next, finish_service = queue.start_next, queue.finish_service
     waiting = queue.packets

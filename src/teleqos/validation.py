@@ -121,15 +121,8 @@ def _sweep_config(config: ScenarioConfig, var: str, value: float) -> ScenarioCon
     raise ScenarioSemanticError(f"unknown sweep variable {var!r} (expected R or mu)")
 
 
-def _one_point(
-    config: ScenarioConfig,
-    var: str,
-    value: float,
-    nack: int,
-    simulate: bool,
-) -> ValidationRow:
-    cfg = _sweep_config(config, var, value)
-    cfg = replace(cfg, net=replace(cfg.net, n_ack=nack))
+def _one_point(cfg: ScenarioConfig, control: float, simulate: bool) -> ValidationRow:
+    """The row of one built sweep point; simulate adds the measured columns."""
     h = haptic_spec_of(cfg)
     agg = CbrAggregate(h.rate_total)
     flags = validity_check(cfg.net, agg)
@@ -151,7 +144,7 @@ def _one_point(
         except simulator.InsufficientCycles:
             dmin_s = m.min_delay
     return ValidationRow(
-        control=value, nack=nack,
+        control=control, nack=cfg.net.n_ack,
         dmin_a=dmin_a, dmin_s=dmin_s, dmax_a=dmax_a, dmax_s=dmax_s,
         jit_a=jit_a, jit_s=jit_s, flags=flags,
     )
@@ -168,18 +161,22 @@ def run_validation(
     jobs: int = 1,
 ) -> list[ValidationRow]:
     """One ValidationRow per (grid value, n_ack), sorted by (control, nack);
-    duration and warmup, where given, replace the scenario's run window."""
+    duration and warmup, where given, replace the scenario's run window.
+    Every point is built, and so checked, before any of them runs."""
     window = {"duration": duration, "warmup": warmup}
     config = replace(config, **{key: value for key, value in window.items() if value is not None})
-    tasks = [(value, nack) for value in sorted(grid) for nack in nack_grid]
+    points = []
+    for value in sorted(grid):
+        swept = _sweep_config(config, var, value)
+        for nack in sorted(nack_grid):
+            cfg = replace(swept, net=replace(swept.net, n_ack=nack))
+            haptic_spec_of(cfg)  # the closed forms reject a bad point here, before any run
+            points.append((cfg, value))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_one_point, config, var, v, n, simulate) for v, n in tasks]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_one_point(config, var, v, n, simulate) for v, n in tasks]
-    rows.sort(key=lambda r: (r.control, r.nack))
-    return rows
+            futures = [pool.submit(_one_point, cfg, value, simulate) for cfg, value in points]
+            return [f.result() for f in futures]
+    return [_one_point(cfg, value, simulate) for cfg, value in points]
 
 
 # --------------------------------------------------------------------------

@@ -449,6 +449,35 @@ def test_build_rejects_overload_with_tcp(base_net):
         )
 
 
+@pytest.mark.parametrize("n_ack", [3, 4])
+def test_build_rejects_n_ack_above_two_with_tcp(base_scenario, n_ack):
+    # without a delayed-ACK timer, n >= 3 leaves the first ACK to the RTO
+    # and stalls TCP; a run without TCP has no receiver to stall
+    cfg = replace(base_scenario, net=replace(base_scenario.net, n_ack=n_ack))
+    with pytest.raises(ConfigError, match="RFC 5681"):
+        build_simulator(cfg)
+    cbr_only = replace(cfg, flows=tuple(f for f in cfg.flows if f.kind != "tcp"))
+    assert build_simulator(cbr_only).sources
+
+
+def test_fractional_buffer_keeps_occupancy_and_delay_bounds():
+    # B is not a whole number of bytes; the queue holds floor(B), so both
+    # occupancy <= B and delay <= tau + B/mu hold with no slack
+    mu = 5.0485 * MBPS
+    net = NetworkParams(mu=mu, tau=3.158e-3, buf=9057.514, s_tcp=578.0, n_ack=2)
+    media = 137.0 / 1e-3
+    flows = (
+        FlowSpec(name="media", kind="telehaptic", rate=media, packet=137.0, gap=1e-3),
+        FlowSpec(name="bulk", kind="tcp"),
+        FlowSpec(name="cross", kind="cbr", rate=0.448 * mu - media, packet=150.0),
+    )
+    cfg = ScenarioConfig(net=net, flows=flows, duration=40.0, warmup=15.0, seed=3)
+    trace = run(build_simulator(cfg))
+    assert trace.queue_max_pw <= net.buf
+    for m in trace.metrics.values():
+        assert m.max_delay <= net.tau + net.buf / net.mu
+
+
 def test_delays_below_hard_bound(base_scenario):
     # every delivered packet's delay is at most tau + B/mu
     trace = run(build_simulator(replace(base_scenario, duration=10.0, warmup=2.0)))

@@ -17,6 +17,7 @@ from teleqos import (
     simulator,
 )
 from teleqos.cli import main
+from teleqos.scenario import ScenarioSemanticError
 from teleqos.validation import (
     VALIDATION_COLUMNS,
     compliance_from_simulation,
@@ -97,6 +98,20 @@ def test_parallel_jobs_match_serial_with_simulation(base_cfg):
     parallel = run_validation(base_cfg, "R", grid, jobs=2, **kwargs)
     assert all(r.jit_s is not None and r.dmax_s is not None for r in serial)
     assert serial == parallel
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a scenario ran before its input errors were checked")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_validation_checks_every_point_before_running_any(base_cfg, monkeypatch, jobs):
+    # the last R point overloads the link: it is rejected before the first
+    # point simulates, in the serial path and in the pool (whose forked
+    # workers inherit the patch) alike
+    monkeypatch.setattr(simulator, "run", _no_run)
+    with pytest.raises(ScenarioSemanticError, match="must stay below the link capacity"):
+        run_validation(base_cfg, "R", [2 * MBPS, 3 * MBPS, 6 * MBPS], nack_grid=(1, 2), jobs=jobs)
 
 
 def test_empty_measurement_window_gives_no_jitter(base_cfg):
@@ -192,6 +207,16 @@ def test_cli_simulate_runs_the_scenario_window(tmp_path, capsys, monkeypatch, ar
     assert [(cfg.duration, cfg.warmup) for cfg in built] == [window]
 
 
+def test_cli_simulate_checks_the_closed_forms_before_running(tmp_path, capsys, monkeypatch):
+    # the closed forms take at most one cbr cross flow: a second one is an
+    # input error reported before the run, not after it
+    text = baseline_text() + "\n[flow.cross2]\nkind = cbr\nrate = 100 kbps\npacket = 150 B\n"
+    monkeypatch.setattr(simulator, "run", _no_run)
+    assert main(["simulate", "--config", write_cfg(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert "at most one CBR cross-traffic flow" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("duration, message", [
     ("10", "warmup must lie within"),
     ("20", "no haptic bytes"),
@@ -220,6 +245,7 @@ def test_cli_validate_csv(tmp_path, capsys):
 def test_cli_validate_bad_sweep(tmp_path, capsys):
     path = write_cfg(tmp_path, baseline_text())
     assert main(["validate", "--config", path, "--sweep", "Z=1Mbps"]) == 2
+    assert "unknown sweep variable 'Z' (expected R or mu)" in capsys.readouterr().err
 
 
 def test_cli_rates(tmp_path, capsys):
