@@ -28,14 +28,6 @@ from .model import (
     validity_check,
     w_min,
 )
-from .sampling import (
-    MuxPacket,
-    RateSeries,
-    deadband_filter,
-    instantaneous_rate,
-    synth_haptic_trace,
-    vh_mux,
-)
 from .scenario import (
     FlowSpec,
     ScenarioConfig,
@@ -69,3 +61,21 @@ from .validation import (
 )
 
 __version__ = "0.1.0"
+
+# the sampling layer needs numpy, so its names load it on first use
+_SAMPLING_NAMES = frozenset({
+    "MuxPacket",
+    "RateSeries",
+    "deadband_filter",
+    "instantaneous_rate",
+    "synth_haptic_trace",
+    "vh_mux",
+})
+
+
+def __getattr__(name: str):
+    if name in _SAMPLING_NAMES:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import sampling, simulator, units, validation
+from . import simulator, units, validation
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 from .units import UnitError
 
@@ -103,6 +103,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from . import sampling  # numpy loads only for the commands that need it
+
     config = _load(args)
     adaptive = [f for f in config.flows if f.kind == "adaptive"]
     if not adaptive:

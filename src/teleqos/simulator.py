@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
-from . import sampling
 from .scenario import FlowSpec, ScenarioConfig
 
 ACK_SIZE = 40
@@ -48,6 +47,10 @@ RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
 # trace record event names, indexed by code
 REC_EVENTS = ("send", "enqueue", "drop", "dequeue", "deliver", "ack", "window-change")
 REC_SEND, REC_ENQ, REC_DROP, REC_DEQ, REC_DELIV, REC_ACK, REC_WIN = range(7)
+REC_HEADER = "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
+# lines joined into one string at a time while recording, so a long run
+# never holds one object per event
+REC_BLOCK = 16384
 
 
 class ConfigError(ValueError):
@@ -355,21 +358,22 @@ def _cycle_mean(per_cycle: list[dict], flow: str) -> float:
 @dataclass
 class Trace:
     """Simulation output: metrics, cycle data and (with record=True) the raw
-    trace as CSV lines, each ending in a newline, written by run()."""
+    trace as one CSV text, header first and one line per event, which run()
+    writes; None without record=True."""
 
     config: ScenarioConfig
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
-    records: list[str] | None
+    csv: str | None
     queue_min_pw: int | None
     queue_max_pw: int | None
     in_flight_end: dict[str, int]
 
     def to_csv(self) -> str:
         """Raw trace as CSV (requires record=True at run time)."""
-        if self.records is None:
+        if self.csv is None:
             raise SimulationError("trace was run without record=True")
-        return "".join(["time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n", *self.records])
+        return self.csv
 
 
 def extract_cycles(trace: Trace) -> CycleStats:
@@ -427,6 +431,8 @@ class Simulator:
 
 
 def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
+    from . import sampling  # numpy loads only for a scenario that synthesizes a signal
+
     spec = flow.signal if flow.signal.seed else replace(flow.signal, seed=seed)
     samples = sampling.synth_haptic_trace(spec, duration)
     flags = sampling.deadband_filter(samples, flow.deadband)
@@ -507,7 +513,8 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     """Execute the simulation deterministically for the scenario's duration.
 
     Metrics cover only events past the scenario's effective warmup; the
-    raw trace (record=True, one CSV line per event) covers everything.
+    raw trace (record=True, one CSV line per event) covers everything and
+    is kept as one text, joined block by block as the run goes.
     Raises SimulationError if the link idles while packets wait, the queue
     exceeds its capacity, or a flow's packets do not balance at the end.
     """
@@ -531,12 +538,13 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         tcp = TcpSource(sim.sources[tcp_id].size, net.n_ack)
         rcv = TcpReceiver(net.n_ack)
         tcp_breakdown = {"tcp-data": tcp.size}
-    records: list[str] | None = [] if record else None
     rec = None
-    if records is not None:
+    if record:
+        pieces = [REC_HEADER]  # the header, then one string per full block
+        block: list[str] = []
         labels = [[f"{event},{name}" for name in names] for event in REC_EVENTS]
         cwnd_text: dict[float, str] = {}
-        add_line = records.append
+        add_line = block.append
 
         def rec(t, code, flow, seq, size, occ):
             # TCP rows carry the window as it stands; other rows leave it empty
@@ -547,6 +555,9 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 if cwnd is None:
                     cwnd = cwnd_text[w] = f"{w:.3f}"
             add_line(f"{t},{labels[code][flow]},{seq},{size},{occ},{cwnd}\n")
+            if len(block) == REC_BLOCK:
+                pieces.append("".join(block))
+                block.clear()
 
     # the next arrival of each open-loop flow and the TCP packets sent
     # but not yet queued, as (t, flow, seq, size, breakdown); no two
@@ -735,11 +746,16 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 f"+ {inside} in flight"
             )
 
+    csv = None
+    if record:
+        pieces.append("".join(block))
+        block.clear()
+        csv = "".join(pieces)
     return Trace(
         config=cfg,
         metrics=dict(zip(names, metrics)),
         cycles=cycles,
-        records=records,
+        csv=csv,
         queue_min_pw=q_min_pw,
         queue_max_pw=q_max_pw,
         in_flight_end=dict(zip(names, in_flight)),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import simulator
@@ -121,8 +120,11 @@ def _sweep_config(config: ScenarioConfig, var: str, value: float) -> ScenarioCon
     raise ScenarioSemanticError(f"unknown sweep variable {var!r} (expected R or mu)")
 
 
-def _one_point(cfg: ScenarioConfig, control: float, simulate: bool) -> ValidationRow:
-    """The row of one built sweep point; simulate adds the measured columns."""
+def _one_point(
+    cfg: ScenarioConfig, control: float, sim: simulator.Simulator | None
+) -> ValidationRow:
+    """The row of one sweep point; sim, the point's built simulator, adds
+    the measured columns when given."""
     h = haptic_spec_of(cfg)
     agg = CbrAggregate(h.rate_total)
     flags = validity_check(cfg.net, agg)
@@ -130,9 +132,9 @@ def _one_point(cfg: ScenarioConfig, control: float, simulate: bool) -> Validatio
     jit_a = haptic_jitter_max(cfg.net, h)
 
     dmin_s = dmax_s = jit_s = None
-    if simulate:
+    if sim is not None:
         tele_name = next(f.name for f in cfg.flows if f.kind == "telehaptic")
-        trace = simulator.run(simulator.build_simulator(cfg))
+        trace = simulator.run(sim)
         m = trace.metrics[tele_name]
         jit_s = m.max_positive_jitter if m.delivered else None
         # d_max is a bound, so the run-wide maximum is compared; d_min uses
@@ -162,7 +164,8 @@ def run_validation(
 ) -> list[ValidationRow]:
     """One ValidationRow per (grid value, n_ack), sorted by (control, nack);
     duration and warmup, where given, replace the scenario's run window.
-    Every point is built, and so checked, before any of them runs."""
+    Every point is built, and so checked, before any of them runs: the
+    closed forms always, and the simulator too when simulate is on."""
     window = {"duration": duration, "warmup": warmup}
     config = replace(config, **{key: value for key, value in window.items() if value is not None})
     points = []
@@ -171,12 +174,14 @@ def run_validation(
         for nack in sorted(nack_grid):
             cfg = replace(swept, net=replace(swept.net, n_ack=nack))
             haptic_spec_of(cfg)  # the closed forms reject a bad point here, before any run
-            points.append((cfg, value))
+            points.append((cfg, value, simulator.build_simulator(cfg) if simulate else None))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_one_point, cfg, value, simulate) for cfg, value in points]
+            futures = [pool.submit(_one_point, *point) for point in points]
             return [f.result() for f in futures]
-    return [_one_point(cfg, value, simulate) for cfg, value in points]
+    return [_one_point(*point) for point in points]
 
 
 # --------------------------------------------------------------------------

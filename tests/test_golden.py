@@ -119,7 +119,7 @@ def test_recording_does_not_change_results(name):
     sim = build_simulator(five_seconds(name))
     recorded = run(sim, record=True)
     assert recorded.metrics["media"].media_bytes
-    assert replace(recorded, records=None) == run(sim, record=False)
+    assert replace(recorded, csv=None) == run(sim, record=False)
 
 
 # sha256 of each signal kind's 20 s adaptive stream (seed 1, deadband 0.1,

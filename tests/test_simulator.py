@@ -3,6 +3,7 @@ machine, plus randomized whole-run invariants (conservation, work
 conservation, capacity, determinism, steady-state structure)."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from teleqos import (
 from teleqos.simulator import (
     CA,
     FR,
+    REC_BLOCK,
     ConfigError,
     DropTailQueue,
     InsufficientCycles,
@@ -303,6 +305,20 @@ def test_trace_csv_shape(base_scenario):
 def test_trace_csv_of_an_empty_run_is_the_header(base_scenario):
     trace = run(build_simulator(replace(base_scenario, duration=0.0, warmup=0.0)), record=True)
     assert trace.to_csv() == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
+
+
+def test_recording_holds_about_two_copies_of_the_trace_text(base_scenario):
+    # the engine joins its lines block by block, so the peak is the pieces
+    # plus the joined text at the final join, not one object per event
+    sim = build_simulator(replace(base_scenario, duration=5.0, warmup=1.0))
+    tracemalloc.start()
+    try:
+        csv = run(sim, record=True).to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert csv.count("\n") > 4 * REC_BLOCK  # several full blocks and a partial one
+    assert peak < 2.5 * len(csv)
 
 
 def test_trace_csv_needs_record(base_scenario):

@@ -114,6 +114,24 @@ def test_run_validation_checks_every_point_before_running_any(base_cfg, monkeypa
         run_validation(base_cfg, "R", [2 * MBPS, 3 * MBPS, 6 * MBPS], nack_grid=(1, 2), jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_validation_builds_every_point_before_running_any(base_cfg, monkeypatch, jobs):
+    # n_ack = 3 with a TCP source is the simulator's own rule: with
+    # simulate on, it is rejected when the points are built, before the
+    # n_ack = 1 points ahead of it run
+    monkeypatch.setattr(simulator, "run", _no_run)
+    with pytest.raises(simulator.ConfigError, match="n_ack = 3 with a TCP source"):
+        run_validation(base_cfg, "R", [2 * MBPS, 3 * MBPS], nack_grid=(1, 3), jobs=jobs)
+
+
+def test_run_validation_builds_each_point_once(base_cfg, monkeypatch):
+    built = []
+    build = simulator.build_simulator
+    monkeypatch.setattr(simulator, "build_simulator", lambda cfg: built.append(cfg) or build(cfg))
+    rows = run_validation(base_cfg, "R", [3 * MBPS], nack_grid=(1, 2), duration=2.0, warmup=1.0)
+    assert [cfg.net.n_ack for cfg in built] == [row.nack for row in rows] == [1, 2]
+
+
 def test_empty_measurement_window_gives_no_jitter(base_cfg):
     (row,) = run_validation(base_cfg, "R", [3 * MBPS], nack_grid=(1,), duration=1.0, warmup=1.0)
     assert row.jit_s is None and row.dmin_s is None and row.dmax_s is None
@@ -188,6 +206,10 @@ def test_cli_simulate_with_trace(tmp_path, capsys):
     assert "media:" in out
     header = trace_path.read_text().splitlines()[0]
     assert header == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts"
+    # the file holds every block the engine joined, in order
+    cfg = replace(parse_scenario(baseline_text()), duration=5.0, warmup=1.0)
+    expected = run(build_simulator(cfg), record=True).to_csv()
+    assert trace_path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("argv, window", [
