@@ -2,9 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from heapq import heappop, heappush
+
 import numpy as np
 
 from teleqos.sampling import CHUNK_TICKS, HAPTIC_TICK, ZERO_REF_EPS
+from teleqos.simulator import (
+    ACK_SIZE,
+    REC_ACK,
+    REC_DELIV,
+    REC_DEQ,
+    REC_DROP,
+    REC_ENQ,
+    REC_EVENTS,
+    REC_SEND,
+    REC_WIN,
+    RTO_NS,
+    CycleRecord,
+    DropTailQueue,
+    FlowMetrics,
+    TcpReceiver,
+    TcpSource,
+)
 
 
 def mtcp_by_timeline(n: int, s_tcp: float, mu: float, rate: float, interval: float) -> int:
@@ -127,3 +147,256 @@ def mux_by_ticks(flags, video_rate: float, header: float) -> list[tuple[float, s
     if pending > 0:
         packets.append((len(flags) * HAPTIC_TICK, "chunk", header, pending))
     return packets
+
+
+# The event engine as it ran before its loop was folded into run(): every
+# pending event waits in one heap keyed (time, event kind, flow, insertion
+# counter), and one handler per kind consumes it. Queue admission and the
+# TCP state machine are shared with teleqos.simulator (the unit tests cover
+# them); the event order, metrics, cycle segmentation and trace lines are
+# its own. The engine in teleqos.simulator must agree with it byte for byte.
+
+EV_LINK_DONE, EV_ARRIVE, EV_DELIVER, EV_ACK, EV_RTO = range(5)
+
+
+@dataclass
+class HeapRun:
+    """What the single-heap engine measured; field names match Trace's."""
+
+    metrics: dict[str, FlowMetrics]
+    cycles: list[CycleRecord]
+    csv: str
+    queue_min_pw: int | None
+    queue_max_pw: int | None
+    in_flight_end: dict[str, int]
+
+
+def _ns(seconds: float) -> int:
+    return int(round(seconds * 1e9))
+
+
+class _HeapEngine:
+    def __init__(self, sim):
+        cfg, net = sim.config, sim.config.net
+        self.duration_ns = _ns(cfg.duration)
+        self.warmup_ns = _ns(cfg.effective_warmup)
+        self.ns_per_byte = 1e9 / net.mu
+        self.tau_ns = _ns(net.tau)
+        self.queue = DropTailQueue(int(net.buf), net.mu)
+        self.heap: list = []
+        self.counter = 0
+        self.lines = ["time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"]
+
+        self.names = [f.name for f in cfg.flows]
+        self.metrics = [FlowMetrics(flow=name) for name in self.names]
+        self.queue_min_pw: int | None = None
+        self.queue_max_pw: int | None = None
+
+        self.tcp_flow = next((i for i, s in enumerate(sim.sources) if s.kind == "tcp"), None)
+        self.tcp: TcpSource | None = None
+        self.rcv: TcpReceiver | None = None
+        if self.tcp_flow is not None:
+            self.tcp = TcpSource(sim.sources[self.tcp_flow].size, net.n_ack)
+            self.rcv = TcpReceiver(net.n_ack)
+            self.tcp_breakdown = {"tcp-data": self.tcp.size}
+        # the arrival stream of each open-loop flow; None for the TCP flow,
+        # whose packets enter through _emit_tcp
+        self.arrivals = [
+            None if i == self.tcp_flow else s.arrivals() for i, s in enumerate(sim.sources)
+        ]
+
+        # cycle segmentation at TCP queue-overflow drops; drops closer than
+        # one worst-case RTT belong to the same overflow event
+        self.merge_gap_ns = _ns(2 * net.tau + net.buf / net.mu)
+        self.last_tcp_drop_ns: int | None = None
+        self.cycles: list[CycleRecord] = []
+        self.cur_cycle: CycleRecord | None = None
+
+    # -- helpers ----------------------------------------------------------
+
+    def _push(self, t: int, kind: int, sub: int, payload) -> None:
+        self.counter += 1
+        heappush(self.heap, (t, kind, sub, self.counter, payload))
+
+    def _push_arrival(self, flow: int, seq: int) -> None:
+        """Schedule the next packet of an open-loop flow, if it falls in the run."""
+        nxt = next(self.arrivals[flow], None)
+        if nxt is not None and nxt[0] <= self.duration_ns:
+            t, size, breakdown = nxt
+            self._push(t, EV_ARRIVE, flow, (flow, seq, size, t, breakdown))
+
+    def _record(self, t, code, flow, seq, size, occ=None):
+        if occ is None:
+            occ = self.queue.occupancy(t)
+        cw = f"{self.tcp.cwnd:.3f}" if flow == self.tcp_flow else ""
+        self.lines.append(f"{t},{REC_EVENTS[code]},{self.names[flow]},{seq},{size},{occ},{cw}\n")
+
+    def _note_queue(self, t: int) -> int:
+        occ = self.queue.occupancy(t)
+        if t >= self.warmup_ns:
+            if self.queue_min_pw is None or occ < self.queue_min_pw:
+                self.queue_min_pw = occ
+            if self.queue_max_pw is None or occ > self.queue_max_pw:
+                self.queue_max_pw = occ
+        cyc = self.cur_cycle
+        if cyc is not None:
+            cyc.q_min = min(cyc.q_min, occ)
+            cyc.q_max = max(cyc.q_max, occ)
+        return occ
+
+    def _start_service(self, t: int) -> None:
+        pkt = self.queue.start_next(t)
+        self._push(t + int(pkt[2] * self.ns_per_byte + 0.5), EV_LINK_DONE, 0, None)
+
+    def _tcp_drop(self, t: int) -> None:
+        if self.last_tcp_drop_ns is not None and t - self.last_tcp_drop_ns <= self.merge_gap_ns:
+            self.cur_cycle.losses += 1
+        else:
+            cyc = self.cur_cycle
+            if cyc is not None and cyc.start_ns >= self.warmup_ns:
+                cyc.end_ns = t
+                self.cycles.append(cyc)
+            occ = self.queue.occupancy(t)
+            self.cur_cycle = CycleRecord(
+                start_ns=t, end_ns=t, q_min=occ, q_max=occ, w_min=self.tcp.cwnd, losses=1,
+                flow_delay_min={}, flow_delay_max={},
+            )
+        self.last_tcp_drop_ns = t
+
+    def _emit_tcp(self, t: int, sends: list[int]) -> None:
+        tcp = self.tcp
+        for seq in sends:
+            self._record(t, REC_SEND, self.tcp_flow, seq, tcp.size)
+            pkt = (self.tcp_flow, seq, tcp.size, t, self.tcp_breakdown)
+            self._push(t, EV_ARRIVE, self.tcp_flow, pkt)
+
+    # -- event handlers ----------------------------------------------------
+
+    def _handle_arrive(self, t: int, pkt) -> None:
+        flow, seq, size, _created, breakdown = pkt
+        m = self.metrics[flow]
+        m.created_total += 1
+        pw = t >= self.warmup_ns
+        if pw:
+            m.created += 1
+        if self.arrivals[flow] is not None:
+            self._push_arrival(flow, seq + 1)
+            self._record(t, REC_SEND, flow, seq, size)
+
+        if self.queue.offer(pkt, t):
+            occ = self._note_queue(t)
+            self._record(t, REC_ENQ, flow, seq, size, occ)
+            if self.queue.in_service is None:
+                self._start_service(t)
+        else:
+            m.dropped_total += 1
+            if pw:
+                m.dropped += 1
+                for tag, nbytes in breakdown.items():
+                    m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
+                    m.media_dropped_bytes[tag] = m.media_dropped_bytes.get(tag, 0.0) + nbytes
+            self._record(t, REC_DROP, flow, seq, size)
+            if flow == self.tcp_flow:
+                self._tcp_drop(t)
+
+    def _handle_link_done(self, t: int) -> None:
+        pkt = self.queue.in_service
+        self.queue.in_service = None
+        occ = self._note_queue(t)
+        self._record(t, REC_DEQ, pkt[0], pkt[1], pkt[2], occ)
+        self._push(t + self.tau_ns, EV_DELIVER, pkt[0], pkt)
+        if self.queue.packets:
+            self._start_service(t)
+
+    def _handle_deliver(self, t: int, pkt) -> None:
+        flow, seq, size, created, breakdown = pkt
+        m = self.metrics[flow]
+        m.delivered_total += 1
+        self._record(t, REC_DELIV, flow, seq, size)
+        if t >= self.warmup_ns:
+            m.delivered += 1
+            for tag, nbytes in breakdown.items():
+                m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
+            delay = (t - created) / 1e9
+            if m.min_delay is None or delay < m.min_delay:
+                m.min_delay = delay
+            if m.max_delay is None or delay > m.max_delay:
+                m.max_delay = delay
+            if m.last_delay is not None:
+                m.max_positive_jitter = max(m.max_positive_jitter, delay - m.last_delay)
+            m.last_delay = delay
+            cyc = self.cur_cycle
+            if cyc is not None:
+                name = self.names[flow]
+                cyc.flow_delay_min[name] = min(cyc.flow_delay_min.get(name, delay), delay)
+                cyc.flow_delay_max[name] = max(cyc.flow_delay_max.get(name, delay), delay)
+
+        if flow == self.tcp_flow:
+            ack = self.rcv.on_data(seq)
+            if ack is not None:
+                self._push(t + self.tau_ns, EV_ACK, flow, ack)
+
+    def _handle_ack(self, t: int, ack_seq: int) -> None:
+        tcp = self.tcp
+        before = tcp.cwnd
+        self._record(t, REC_ACK, self.tcp_flow, ack_seq, ACK_SIZE)
+        sends = tcp.on_ack(ack_seq, t)
+        if tcp.cwnd != before:
+            self._record(t, REC_WIN, self.tcp_flow, ack_seq, 0)
+        cyc = self.cur_cycle
+        if cyc is not None and tcp.cwnd < cyc.w_min:
+            cyc.w_min = tcp.cwnd
+        self._emit_tcp(t, sends)
+
+    # -- main loop ----------------------------------------------------------
+
+    def execute(self) -> HeapRun:
+        if self.duration_ns > 0:
+            for flow, arrivals in enumerate(self.arrivals):
+                if arrivals is not None:
+                    self._push_arrival(flow, 0)
+            if self.tcp is not None:
+                self._emit_tcp(0, self.tcp._new_sends())
+                self._push(RTO_NS, EV_RTO, 0, None)
+
+        heap = self.heap
+        while heap and heap[0][0] <= self.duration_ns:
+            t, kind, _sub, _cnt, payload = heappop(heap)
+            if kind == EV_ARRIVE:
+                self._handle_arrive(t, payload)
+            elif kind == EV_LINK_DONE:
+                self._handle_link_done(t)
+            elif kind == EV_DELIVER:
+                self._handle_deliver(t, payload)
+            elif kind == EV_ACK:
+                self._handle_ack(t, payload)
+            else:  # EV_RTO
+                self._emit_tcp(t, self.tcp.on_timeout(t))
+                if t + RTO_NS <= self.duration_ns:
+                    self._push(t + RTO_NS, EV_RTO, 0, None)
+
+        # census of packets still inside the system
+        names = self.names
+        in_flight = {name: 0 for name in names}
+        for pkt in self.queue.packets:
+            in_flight[names[pkt[0]]] += 1
+        if self.queue.in_service is not None:
+            in_flight[names[self.queue.in_service[0]]] += 1
+        for _t, kind, _sub, _cnt, payload in heap:
+            if kind == EV_DELIVER:
+                in_flight[names[payload[0]]] += 1
+
+        return HeapRun(
+            metrics=dict(zip(names, self.metrics)),
+            cycles=self.cycles,
+            csv="".join(self.lines),
+            queue_min_pw=self.queue_min_pw,
+            queue_max_pw=self.queue_max_pw,
+            in_flight_end=in_flight,
+        )
+
+
+def run_by_single_heap(sim) -> HeapRun:
+    """Run a built Simulator for its scenario's duration on the single-heap
+    engine; metrics cover events past the scenario's effective warmup."""
+    return _HeapEngine(sim).execute()
