@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 from . import simulator, units, validation
@@ -21,12 +22,14 @@ EXIT_QOS_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: str | None):
+    """The file at path opened for writing, or stdout without a path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _load(args) -> ScenarioConfig:
@@ -36,47 +39,51 @@ def _load(args) -> ScenarioConfig:
     return replace(config, **{key: value for key, value in overrides if value is not None})
 
 
-def _cmd_analyze(args) -> int:
-    config = _load(args)
+def _cmd_analyze(config: ScenarioConfig, args) -> int:
     h = validation.haptic_spec_of(config)
     from .model import qos_check
 
     report = qos_check(config.net, h, config.qos, config.mux)
-    _write(validation.emit_compliance(report, args.format), args.out)
+    with _output(args.out) as fh:
+        fh.write(validation.emit_compliance(report, args.format))
     return EXIT_OK if report.overall else EXIT_QOS_FAIL
 
 
-def _cmd_simulate(args) -> int:
-    config = _load(args)
+def _cmd_simulate(config: ScenarioConfig, args) -> int:
     spec = None
     if any(f.kind == "telehaptic" for f in config.flows):
         spec = validation.haptic_spec_of(config)  # its input errors come before the run
-    trace = simulator.run(simulator.build_simulator(config), record=bool(args.trace))
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_csv())
+    sim = simulator.build_simulator(config)
+    # both outputs open before the run, so a bad path costs no simulation
+    trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
+    with trace_file as trace_fh, _output(args.out) as out_fh:
+        trace = simulator.run(sim, record=bool(args.trace))
+        if args.trace:
+            trace_fh.write(trace.to_csv())
 
-    lines = []
-    for name, m in trace.metrics.items():
-        delay = (
-            f"delay {m.min_delay * 1e3:.3f}..{m.max_delay * 1e3:.3f} ms"
-            if m.min_delay is not None
-            else "no deliveries"
-        )
-        losses = " ".join(f"{tag}:{frac * 100:.3f}%" for tag, frac in sorted(m.media_loss.items()))
-        lines.append(
-            f"{name}: delivered {m.delivered} dropped {m.dropped} "
-            f"({m.loss_fraction * 100:.4f}%) {delay} "
-            f"max+jitter {m.max_positive_jitter * 1e3:.3f} ms  loss[{losses}]"
-        )
-    summary = "\n".join(lines) + "\n"
-
-    if spec is None:
-        _write(summary, args.out)
-        return EXIT_OK
-    report = validation.compliance_from_simulation(config, trace)
-    _write(summary + validation.emit_compliance(report, args.format), args.out)
-    return EXIT_OK if report.overall else EXIT_QOS_FAIL
+        lines = []
+        for name, m in trace.metrics.items():
+            delay = (
+                f"delay {m.min_delay * 1e3:.3f}..{m.max_delay * 1e3:.3f} ms"
+                if m.min_delay is not None
+                else "no deliveries"
+            )
+            losses = " ".join(
+                f"{tag}:{frac * 100:.3f}%" for tag, frac in sorted(m.media_loss.items())
+            )
+            lines.append(
+                f"{name}: delivered {m.delivered} dropped {m.dropped} "
+                f"({m.loss_fraction * 100:.4f}%) {delay} "
+                f"max+jitter {m.max_positive_jitter * 1e3:.3f} ms  loss[{losses}]"
+            )
+        text = "\n".join(lines) + "\n"
+        code = EXIT_OK
+        if spec is not None:
+            report = validation.compliance_from_simulation(config, trace)
+            text += validation.emit_compliance(report, args.format)
+            code = EXIT_OK if report.overall else EXIT_QOS_FAIL
+        out_fh.write(text)
+    return code
 
 
 def _parse_sweep(spec: str) -> tuple[str, list[float]]:
@@ -89,8 +96,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
     return var.strip(), grid
 
 
-def _cmd_validate(args) -> int:
-    config = _load(args)
+def _cmd_validate(config: ScenarioConfig, args) -> int:
     var, grid = _parse_sweep(args.sweep)
     nacks = tuple(int(n) for n in args.nack.split(","))
     rows = validation.run_validation(
@@ -98,14 +104,14 @@ def _cmd_validate(args) -> int:
         nack_grid=nacks,
         jobs=args.jobs,
     )
-    _write(validation.emit_validation(rows, args.format), args.out)
+    with _output(args.out) as fh:
+        fh.write(validation.emit_validation(rows, args.format))
     return EXIT_OK
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(config: ScenarioConfig, args) -> int:
     from . import sampling  # numpy loads only for the commands that need it
 
-    config = _load(args)
     adaptive = [f for f in config.flows if f.kind == "adaptive"]
     if not adaptive:
         raise ScenarioError("rates: the scenario has no adaptive flow")
@@ -119,16 +125,17 @@ def _cmd_rates(args) -> int:
         lines += [f"{t:.3f},{r:.1f}" for t, r in zip(series.times, series.rates)]
         lines.append(f"# peak_Bps,{series.peak:.1f}")
         lines.append(f"# mean_Bps,{series.mean:.1f}")
-        _write("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        _write(
+        text = (
             f"flow {flow.name} (deadband {flow.deadband:g}): "
             f"peak {series.peak * 8 / 1e3:.1f} kbps, "
             f"mean {series.mean * 8 / 1e3:.1f} kbps, "
             f"peak/mean {series.peak / series.mean:.2f} "
-            f"(window {args.window * 1e3:.0f} ms)\n",
-            args.out,
+            f"(window {args.window * 1e3:.0f} ms)\n"
         )
+    with _output(args.out) as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -137,36 +144,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out")
 
-    a = sub.add_parser("analyze", help="closed-form QoS compliance report")
-    a.add_argument("--config", required=True)
-    a.add_argument("--out")
+    a = sub.add_parser("analyze", parents=[common], help="closed-form QoS compliance report")
     a.set_defaults(func=_cmd_analyze)
 
-    s = sub.add_parser("simulate", help="packet-level simulation of the scenario")
-    s.add_argument("--config", required=True)
+    s = sub.add_parser("simulate", parents=[common], help="packet-level simulation of the scenario")
     s.add_argument("--duration", type=float, default=None,
                    help="simulated seconds (default: the scenario's)")
     s.add_argument("--warmup", type=float, default=None, help="seconds excluded from metrics")
     s.add_argument("--trace", help="write the raw event trace CSV here")
-    s.add_argument("--out")
     s.set_defaults(func=_cmd_simulate)
 
-    v = sub.add_parser("validate", help="analytic-vs-simulated sweep table")
-    v.add_argument("--config", required=True)
+    v = sub.add_parser("validate", parents=[common], help="analytic-vs-simulated sweep table")
     v.add_argument("--sweep", required=True, metavar="VAR=a,b,c",
                    help="R or mu with unit-suffixed grid values, e.g. R=2Mbps,3Mbps")
     v.add_argument("--nack", default="1,2", help="comma list of cumulative-ACK factors")
     v.add_argument("--duration", type=float, default=None)
     v.add_argument("--warmup", type=float, default=None)
     v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--out")
     v.set_defaults(func=_cmd_validate)
 
-    r = sub.add_parser("rates", help="adaptive-sampling instantaneous rate series")
-    r.add_argument("--config", required=True)
+    r = sub.add_parser("rates", parents=[common],
+                       help="adaptive-sampling instantaneous rate series")
     r.add_argument("--window", type=float, default=0.1, help="sliding window, seconds")
-    r.add_argument("--out")
     r.set_defaults(func=_cmd_rates)
     return p
 
@@ -175,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load(args), args)
     except (FileNotFoundError, ValueError) as exc:
         print(f"teleqos: {exc}", file=sys.stderr)
         return EXIT_INPUT

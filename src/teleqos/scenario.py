@@ -198,12 +198,6 @@ class ScenarioConfig:
             return self.warmup
         return min(max(0.1 * self.duration, 20.0), 0.5 * self.duration)
 
-    def flow(self, name: str) -> FlowSpec:
-        for f in self.flows:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     def with_flow_rate(self, name: str, rate: float) -> "ScenarioConfig":
         """Copy with one fixed-rate flow's rate replaced (packet kept, gap rescaled)."""
         flows = []

@@ -127,11 +127,6 @@ class DropTailQueue:
         self.service_start_ns = t
         return pkt
 
-    def finish_service(self):
-        pkt = self.in_service
-        self.in_service = None
-        return pkt
-
 
 # --------------------------------------------------------------------------
 # TCP NewReno source and receiver
@@ -361,7 +356,6 @@ class Trace:
     trace as one CSV text, header first and one line per event, which run()
     writes; None without record=True."""
 
-    config: ScenarioConfig
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
     csv: str | None
@@ -377,11 +371,11 @@ class Trace:
 
 
 def extract_cycles(trace: Trace) -> CycleStats:
-    """Per-cycle queue statistics; requires >= 3 post-warmup loss events."""
+    """Per-cycle queue statistics; requires >= 2 loss cycles that started
+    past the warmup and were closed by the next loss event."""
     if len(trace.cycles) < 2:
-        n = len(trace.cycles) + 1 if trace.cycles else 0
         raise InsufficientCycles(
-            f"need >= 3 TCP loss events past warmup, got {n}"
+            f"need >= 2 complete loss cycles past warmup, got {len(trace.cycles)}"
         )
     cycles = trace.cycles
     q_mins = [c.q_min for c in cycles]
@@ -405,7 +399,6 @@ class _Source:
     """One traffic source. Open-loop sources (cbr, telehaptic, adaptive)
     follow a fixed arrival stream; the TCP source is closed-loop and has none."""
 
-    flow: int
     kind: str
     size: int = 0
     gap_ns: int = 0
@@ -464,13 +457,13 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     # the link holds every packet for at least one clock tick (the engine's
     # service time), so completions, deliveries and ACKs strictly increase
     ns_per_byte = 1e9 / config.net.mu
-    for idx, flow in enumerate(config.flows):
+    for flow in config.flows:
         if flow.kind == "tcp":
-            src = _Source(idx, "tcp", size=int(round(config.net.s_tcp)))
+            src = _Source("tcp", size=int(round(config.net.s_tcp)))
             sizes = [src.size]
         elif flow.kind in ("cbr", "telehaptic"):
             src = _Source(
-                idx, flow.kind,
+                flow.kind,
                 size=int(round(flow.packet)),
                 gap_ns=_ns(flow.gap),
                 phase_ns=_ns(flow.phase),
@@ -478,7 +471,7 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
             sizes = [src.size]
         else:  # adaptive
             sched = _adaptive_schedule(flow, max(config.duration, 1e-3), config.seed)
-            src = _Source(idx, "adaptive", phase_ns=_ns(flow.phase), schedule=sched)
+            src = _Source("adaptive", phase_ns=_ns(flow.phase), schedule=sched)
             sizes = [size for _, size, _ in sched]
             if config.duration > 0 and sizes:
                 adaptive_mean += sum(sizes) / config.duration
@@ -527,12 +520,12 @@ def run(sim: Simulator, record: bool = False) -> Trace:
 
     queue = DropTailQueue(int(net.buf), net.mu)  # floored: occupancy never exceeds B
     offer, occupancy = queue.offer, queue.occupancy
-    start_next, finish_service = queue.start_next, queue.finish_service
+    start_next = queue.start_next
     waiting = queue.packets
     capacity = queue.capacity
     names = [f.name for f in cfg.flows]
     metrics = [FlowMetrics(flow=name) for name in names]
-    tcp_id = next((src.flow for src in sim.sources if src.kind == "tcp"), -1)
+    tcp_id = next((i for i, src in enumerate(sim.sources) if src.kind == "tcp"), -1)
     tcp = rcv = tcp_breakdown = None
     if tcp_id >= 0:
         tcp = TcpSource(sim.sources[tcp_id].size, net.n_ack)
@@ -568,7 +561,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     never = duration_ns + 1
     link_t = never  # completion of the packet in service
     rto_t = never
-    streams = [None if src.flow == tcp_id else src.arrivals() for src in sim.sources]
+    streams = [None if i == tcp_id else src.arrivals() for i, src in enumerate(sim.sources)]
     q_min_pw = q_max_pw = None
     last_tcp_drop = None
     cyc = None  # the loss cycle in progress
@@ -612,7 +605,8 @@ def run(sim: Simulator, record: bool = False) -> Trace:
 
         if kind < 2:
             if kind == 0:  # link completion
-                pkt = finish_service()
+                pkt = queue.in_service
+                queue.in_service = None
                 link_t = never
                 deliveries.append((t + tau_ns, pkt))
                 code = REC_DEQ
@@ -752,7 +746,6 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         block.clear()
         csv = "".join(pieces)
     return Trace(
-        config=cfg,
         metrics=dict(zip(names, metrics)),
         cycles=cycles,
         csv=csv,

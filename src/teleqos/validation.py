@@ -143,7 +143,8 @@ def _one_point(
         try:
             cycles = simulator.extract_cycles(trace)
             dmin_s = cycles.observed_d_min(tele_name)
-        except simulator.InsufficientCycles:
+        except (simulator.InsufficientCycles, simulator.UnknownFlow):
+            # too few cycles, or none with a delivery of the flow
             dmin_s = m.min_delay
     return ValidationRow(
         control=control, nack=cfg.net.n_ack,
@@ -165,7 +166,10 @@ def run_validation(
     """One ValidationRow per (grid value, n_ack), sorted by (control, nack);
     duration and warmup, where given, replace the scenario's run window.
     Every point is built, and so checked, before any of them runs: the
-    closed forms always, and the simulator too when simulate is on."""
+    closed forms always, and the simulator too when simulate is on.
+    jobs > 1 runs the points in that many processes, at most one per point."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     window = {"duration": duration, "warmup": warmup}
     config = replace(config, **{key: value for key, value in window.items() if value is not None})
     points = []
@@ -175,10 +179,11 @@ def run_validation(
             cfg = replace(swept, net=replace(swept.net, n_ack=nack))
             haptic_spec_of(cfg)  # the closed forms reject a bad point here, before any run
             points.append((cfg, value, simulator.build_simulator(cfg) if simulate else None))
-    if jobs > 1:
+    workers = min(jobs, len(points))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_one_point, *point) for point in points]
             return [f.result() for f in futures]
     return [_one_point(*point) for point in points]

@@ -33,7 +33,7 @@ def test_baseline_parses_to_reference_settings():
     assert cfg.net.n_ack == 1
     kinds = {f.name: f.kind for f in cfg.flows}
     assert kinds == {"media": "telehaptic", "bulk": "tcp", "cross": "cbr"}
-    media = cfg.flow("media")
+    media = next(f for f in cfg.flows if f.name == "media")
     assert media.rate == pytest.approx(137000.0)
     assert media.packet == 137.0
     assert media.gap == 1e-3

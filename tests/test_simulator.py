@@ -407,6 +407,14 @@ def test_pure_cbr_trace_has_no_cycles(base_net):
         extract_cycles(trace)
 
 
+def test_too_few_cycles_reports_the_closed_cycles(base_scenario):
+    # two loss events past the warmup close one cycle, and the message says so
+    trace = run(build_simulator(replace(base_scenario, duration=5.0, warmup=1.0)))
+    assert len(trace.cycles) >= 2
+    with pytest.raises(InsufficientCycles, match="need >= 2 complete loss cycles past warmup, got 1"):
+        extract_cycles(replace(trace, cycles=trace.cycles[:1]))
+
+
 def test_single_packet_flow_has_zero_jitter(base_net):
     flows = (
         FlowSpec(name="lonely", kind="cbr", rate=10.0, packet=100.0, gap=10.0),

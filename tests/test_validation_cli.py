@@ -1,5 +1,6 @@
 """Validation runner, report emission and the command-line interface."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -132,6 +133,57 @@ def test_run_validation_builds_each_point_once(base_cfg, monkeypatch):
     assert [cfg.net.n_ack for cfg in built] == [row.nack for row in rows] == [1, 2]
 
 
+def test_run_validation_sizes_the_pool_by_the_points(base_cfg, monkeypatch):
+    # a stand-in pool records the size asked for and runs each point here;
+    # no worker process starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    grid = [r * MBPS for r in (2, 3, 4)]
+    rows = run_validation(base_cfg, "R", grid, nack_grid=(1, 2), simulate=False, jobs=64)
+    assert sizes == [6]
+    assert rows == run_validation(base_cfg, "R", grid, nack_grid=(1, 2), simulate=False)
+    # one point needs no pool at all
+    run_validation(base_cfg, "R", [3 * MBPS], nack_grid=(1,), simulate=False, jobs=64)
+    assert sizes == [6]
+
+
+LATE_MEDIA = baseline_text().replace("[flow.media]\n", "[flow.media]\nphase = 100 s\n")
+
+
+def test_validation_without_a_telehaptic_delivery(tmp_path, capsys, monkeypatch):
+    # the telehaptic flow starts after the run ends: TCP still closes loss
+    # cycles, but none holds a media delivery, so the row has no measured
+    # delays or jitter, in the runner and through the CLI alike
+    traces = []
+    simulate = simulator.run
+    monkeypatch.setattr(simulator, "run", lambda sim: traces.append(simulate(sim)) or traces[-1])
+    cfg = parse_scenario(LATE_MEDIA)
+    (row,) = run_validation(cfg, "R", [3 * MBPS], nack_grid=(1,), duration=30.0, warmup=10.0)
+    assert len(traces[0].cycles) >= 2
+    assert (row.dmin_s, row.dmax_s, row.jit_s) == (None, None, None)
+    code = main(["--format", "csv", "validate", "--config", write_cfg(tmp_path, LATE_MEDIA),
+                 "--sweep", "R=3Mbps", "--nack", "1", "--duration", "30", "--warmup", "10"])
+    assert code == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    assert cells[:2] == ["3", "1"] and cells[3::2] == ["", "", ""]
+
+
 def test_empty_measurement_window_gives_no_jitter(base_cfg):
     (row,) = run_validation(base_cfg, "R", [3 * MBPS], nack_grid=(1,), duration=1.0, warmup=1.0)
     assert row.jit_s is None and row.dmin_s is None and row.dmax_s is None
@@ -237,6 +289,35 @@ def test_cli_simulate_checks_the_closed_forms_before_running(tmp_path, capsys, m
     assert main(["simulate", "--config", write_cfg(tmp_path, text)]) == 2
     captured = capsys.readouterr()
     assert "at most one CBR cross-traffic flow" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["--trace", "--out"])
+def test_cli_simulate_opens_its_outputs_before_running(tmp_path, capsys, monkeypatch, option):
+    # an output path that cannot be opened is an input error, found before
+    # anything is simulated
+    monkeypatch.setattr(simulator, "run", _no_run)
+    path = write_cfg(tmp_path, baseline_text())
+    assert main(["simulate", "--config", path, option, str(tmp_path / "missing" / "o.csv")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_cli_simulate_writes_its_report_to_out(tmp_path, capsys):
+    path = write_cfg(tmp_path, baseline_text())
+    argv = ["simulate", "--config", path, "--duration", "3", "--warmup", "1"]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    out_path = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(out_path)]) == code
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == printed and "overall:" in printed
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_validate_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(simulator, "run", _no_run)
+    path = write_cfg(tmp_path, baseline_text())
+    assert main(["validate", "--config", path, "--sweep", "R=3Mbps", "--jobs", jobs]) == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("duration, message", [
