@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import replace
 
 from . import simulator, units, validation
@@ -22,14 +22,9 @@ EXIT_QOS_FAIL = 1
 EXIT_INPUT = 2
 
 
-@contextmanager
 def _output(path: str | None):
     """The file at path opened for writing, or stdout without a path."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        yield fh
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _load(args) -> ScenarioConfig:
