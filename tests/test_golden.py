@@ -4,7 +4,8 @@ engine's event order, arithmetic or record format shows up here; a
 refactor that keeps these digests keeps the traces byte-identical and the
 cycles (bounds, queue and window extremes, merged losses, per-flow delay
 extremes) unchanged. A third set pins the adaptive sampling pipeline of
-each signal kind: samples, significance flags and packet schedule."""
+each signal kind: samples, significance flags and packet schedule; a
+fourth pins the text `teleqos --format csv rates` prints for each kind."""
 
 import hashlib
 from dataclasses import replace
@@ -20,6 +21,7 @@ from teleqos import (
     run,
     synth_haptic_trace,
 )
+from teleqos.cli import main
 
 MBPS = 1e6 / 8.0
 
@@ -142,3 +144,21 @@ def test_golden_adaptive_stream_digest(kind):
     for t, size, breakdown in sim.sources[0].schedule:
         h.update(repr((t, size, sorted(breakdown.items()))).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_STREAMS[kind]
+
+
+# sha256 of `teleqos --format csv rates` on the same 20 s streams: the
+# schedule's (time, size) pairs as the rate series reads them, and the text
+GOLDEN_RATES = {
+    "contact-burst": "b61f3659d9ef5def2fa671af5b9eec394bac01a9d9edc3058d22f7878f7d02df",
+    "filtered-noise": "dc702bd43cdecc5a5318faa083d2811fb2beea6fc3d02ee3a314b65cfbd977a5",
+    "sum-of-sinusoids": "b44ecf5777d5a96be5db0168ba2eef6c698c3ca29fcb55fc0a76c4518266876e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_RATES))
+def test_golden_rates_digest(kind, tmp_path, capsys):
+    path = tmp_path / "adaptive.scn"
+    path.write_text(ADAPTIVE_ONLY.format(kind=kind))
+    assert main(["--format", "csv", "rates", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RATES[kind]
