@@ -64,7 +64,7 @@ __version__ = "0.1.0"
 
 # the sampling layer needs numpy, so its names load it on first use
 _SAMPLING_NAMES = frozenset({
-    "MuxPacket",
+    "MuxStream",
     "RateSeries",
     "deadband_filter",
     "instantaneous_rate",

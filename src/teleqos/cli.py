@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
+from collections.abc import Callable
 from dataclasses import replace
 
 from . import simulator, units, validation
@@ -22,9 +22,21 @@ EXIT_QOS_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _output(path: str | None):
-    """The file at path opened for writing, or stdout without a path."""
-    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+def _output(path: str | None) -> Callable[[str], object]:
+    """A function that writes a command's text to the file at path, or to
+    stdout without a path. The file opens here, without truncation, so a
+    path that cannot be written fails before the command's work, and the
+    file keeps its contents until the text replaces them."""
+    if not path:
+        return lambda text: sys.stdout.write(text)  # looked up when written
+    with open(path, "a", encoding="utf-8"):
+        pass
+
+    def write(text: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    return write
 
 
 def _load(args) -> ScenarioConfig:
@@ -39,8 +51,7 @@ def _cmd_analyze(config: ScenarioConfig, args) -> int:
     from .model import qos_check
 
     report = qos_check(config.net, h, config.qos, config.mux)
-    with _output(args.out) as fh:
-        fh.write(validation.emit_compliance(report, args.format))
+    _output(args.out)(validation.emit_compliance(report, args.format))
     return EXIT_OK if report.overall else EXIT_QOS_FAIL
 
 
@@ -50,34 +61,34 @@ def _cmd_simulate(config: ScenarioConfig, args) -> int:
         spec = validation.haptic_spec_of(config)  # its input errors come before the run
     sim = simulator.build_simulator(config)
     # both outputs open before the run, so a bad path costs no simulation
-    trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
-    with trace_file as trace_fh, _output(args.out) as out_fh:
-        trace = simulator.run(sim, record=bool(args.trace))
-        if args.trace:
-            trace_fh.write(trace.to_csv())
+    write_trace = args.trace and _output(args.trace)
+    write_out = _output(args.out)
+    trace = simulator.run(sim, record=bool(args.trace))
+    if write_trace:
+        write_trace(trace.to_csv())
 
-        lines = []
-        for name, m in trace.metrics.items():
-            delay = (
-                f"delay {m.min_delay * 1e3:.3f}..{m.max_delay * 1e3:.3f} ms"
-                if m.min_delay is not None
-                else "no deliveries"
-            )
-            losses = " ".join(
-                f"{tag}:{frac * 100:.3f}%" for tag, frac in sorted(m.media_loss.items())
-            )
-            lines.append(
-                f"{name}: delivered {m.delivered} dropped {m.dropped} "
-                f"({m.loss_fraction * 100:.4f}%) {delay} "
-                f"max+jitter {m.max_positive_jitter * 1e3:.3f} ms  loss[{losses}]"
-            )
-        text = "\n".join(lines) + "\n"
-        code = EXIT_OK
-        if spec is not None:
-            report = validation.compliance_from_simulation(config, trace)
-            text += validation.emit_compliance(report, args.format)
-            code = EXIT_OK if report.overall else EXIT_QOS_FAIL
-        out_fh.write(text)
+    lines = []
+    for name, m in trace.metrics.items():
+        delay = (
+            f"delay {m.min_delay * 1e3:.3f}..{m.max_delay * 1e3:.3f} ms"
+            if m.min_delay is not None
+            else "no deliveries"
+        )
+        losses = " ".join(
+            f"{tag}:{frac * 100:.3f}%" for tag, frac in sorted(m.media_loss.items())
+        )
+        lines.append(
+            f"{name}: delivered {m.delivered} dropped {m.dropped} "
+            f"({m.loss_fraction * 100:.4f}%) {delay} "
+            f"max+jitter {m.max_positive_jitter * 1e3:.3f} ms  loss[{losses}]"
+        )
+    text = "\n".join(lines) + "\n"
+    code = EXIT_OK
+    if spec is not None:
+        report = validation.compliance_from_simulation(config, trace)
+        text += validation.emit_compliance(report, args.format)
+        code = EXIT_OK if report.overall else EXIT_QOS_FAIL
+    write_out(text)
     return code
 
 
@@ -94,27 +105,32 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
 def _cmd_validate(config: ScenarioConfig, args) -> int:
     var, grid = _parse_sweep(args.sweep)
     nacks = tuple(int(n) for n in args.nack.split(","))
+    write_out = _output(args.out)
     rows = validation.run_validation(
         config, var, grid,
         nack_grid=nacks,
         jobs=args.jobs,
     )
-    with _output(args.out) as fh:
-        fh.write(validation.emit_validation(rows, args.format))
+    write_out(validation.emit_validation(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_rates(config: ScenarioConfig, args) -> int:
-    from . import sampling  # numpy loads only for the commands that need it
+    # numpy loads only for the commands that need it
+    import numpy as np
+
+    from . import sampling
 
     adaptive = [f for f in config.flows if f.kind == "adaptive"]
     if not adaptive:
         raise ScenarioError("rates: the scenario has no adaptive flow")
     flow = adaptive[0]
+    write_out = _output(args.out)
     sim = simulator.build_simulator(config)
     src = sim.sources[config.flows.index(flow)]
-    packets = [(t / 1e9, float(size)) for t, size, _ in src.schedule]
-    series = sampling.instantaneous_rate(packets, window=args.window)
+    t_ns, sizes, _ = zip(*src.schedule)
+    pairs = np.column_stack((np.array(t_ns) / 1e9, sizes))
+    series = sampling.instantaneous_rate(pairs, window=args.window)
     if args.format == "csv":
         lines = ["time_s,rate_Bps"]
         lines += [f"{t:.3f},{r:.1f}" for t, r in zip(series.times, series.rates)]
@@ -129,8 +145,7 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
             f"peak/mean {series.peak / series.mean:.2f} "
             f"(window {args.window * 1e3:.0f} ms)\n"
         )
-    with _output(args.out) as fh:
-        fh.write(text)
+    write_out(text)
     return EXIT_OK
 
 

@@ -10,16 +10,17 @@ generators stand in for device recordings.
 
 Samples are finite and have 1 to 3 axes; anything else raises
 InvalidSignalSpec at the boundary. The per-sample recursions (the
-filtered-noise lowpass, the deadband, the multiplexer) run as scalar loops
-over Python floats that keep the reference arithmetic order term by term,
-so their results are bit-identical to a plain row-by-row evaluation.
+filtered-noise lowpass and the deadband) run as scalar loops over Python
+floats that keep the reference arithmetic order term by term, so their
+results are bit-identical to a plain row-by-row evaluation. The
+multiplexer works on whole arrays: its chunk sizes come from one table of
+repeated additions, so they too equal a tick-by-tick accumulator's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,23 +39,20 @@ class EmptyStream(ValueError):
     pass
 
 
-class MuxPacket(NamedTuple):
-    """One multiplexed packet: a significant haptic sample riding with 1 ms
-    of video, or a video chunk covering up to 15 ms."""
+@dataclass(frozen=True)
+class MuxStream:
+    """The multiplexed packets as columns, in emission order. A significant
+    packet carries one haptic sample and 1 ms of video; a chunk (not
+    significant) carries up to 15 ms of video. Every packet has the same
+    header; its emission time is tick * HAPTIC_TICK seconds."""
 
-    time: float          # emission time, seconds
-    kind: str            # 'significant' | 'chunk'
-    header_bytes: float  # header (incl. haptic payload for significant packets)
-    video_bytes: float
+    tick: np.ndarray          # int, emission tick
+    significant: np.ndarray   # bool
+    video_bytes: np.ndarray   # float
+    header_bytes: float       # header, incl. the haptic payload of a significant packet
 
-    @property
-    def size(self) -> int:
-        return int(round(self.header_bytes + self.video_bytes))
-
-    @property
-    def breakdown(self) -> dict[str, float]:
-        tag = "haptic" if self.kind == "significant" else "header"
-        return {tag: self.header_bytes, "video": self.video_bytes}
+    def __len__(self) -> int:
+        return len(self.tick)
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def deadband_filter(samples: np.ndarray, k: float) -> np.ndarray:
     return flags
 
 
-def vh_mux(flags: np.ndarray, video_rate: float, header: float) -> list[MuxPacket]:
+def vh_mux(flags: np.ndarray, video_rate: float, header: float) -> MuxStream:
     """Multiplex significance flags with a constant-rate video stream.
 
     Each tick accrues 1 ms of video. A significant tick first flushes any
@@ -185,29 +183,37 @@ def vh_mux(flags: np.ndarray, video_rate: float, header: float) -> list[MuxPacke
     once 15 ms worth is pending. No video byte is dropped or duplicated,
     and none waits more than 15 ms. flags is a 1-D array, one per tick.
     """
-    if video_rate <= 0:
-        raise InvalidSignalSpec(f"video rate must be positive, got {video_rate}")
-    if header <= 0:
-        raise InvalidSignalSpec(f"header must be positive, got {header}")
+    if not 0 < video_rate < math.inf:
+        raise InvalidSignalSpec(f"video rate must be positive and finite, got {video_rate}")
+    if not 0 < header < math.inf:
+        raise InvalidSignalSpec(f"header must be positive and finite, got {header}")
     per_tick = video_rate * HAPTIC_TICK
     flush_at = CHUNK_TICKS * per_tick - 1e-9
-    packets: list[MuxPacket] = []
-    pending = 0.0
-    for i, sig in enumerate(flags.tolist()):
-        if sig:
-            t = i * HAPTIC_TICK
-            if pending > 0:
-                packets.append(MuxPacket(t, "chunk", header, pending))
-                pending = 0.0
-            packets.append(MuxPacket(t, "significant", header, per_tick))
-        else:
-            pending += per_tick
-            if pending >= flush_at:
-                packets.append(MuxPacket(i * HAPTIC_TICK, "chunk", header, pending))
-                pending = 0.0
-    if pending > 0:
-        packets.append(MuxPacket(len(flags) * HAPTIC_TICK, "chunk", header, pending))
-    return packets
+    pending = [0.0, per_tick]  # video pending after k quiet ticks
+    while pending[-1] < flush_at:
+        pending.append(pending[-1] + per_tick)
+    flush = len(pending) - 1  # quiet ticks per full chunk
+    pending = np.array(pending)
+
+    flags = np.asarray(flags, dtype=bool)
+    ticks = np.arange(len(flags))
+    sig = ticks[flags]
+    # a full chunk leaves at every flush-th quiet tick after the last
+    # significant one (tick -1 at the start)
+    last_sig = np.maximum.accumulate(np.where(flags, ticks, -1))
+    full = ticks[~flags & ((ticks - last_sig) % flush == 0)]
+    # the rest of each quiet run leaves before the next significant packet,
+    # or at tick len(flags)
+    ends = np.append(sig, len(flags))
+    rest = (np.diff(ends, prepend=-1) - 1) % flush
+    ends, rest = ends[rest > 0], rest[rest > 0]
+
+    tick = np.concatenate((full, ends, sig))
+    significant = np.arange(len(tick)) >= len(full) + len(ends)
+    video = np.concatenate((np.full(len(full), pending[flush]), pending[rest],
+                            np.full(len(sig), per_tick)))
+    order = np.argsort(2 * tick + significant)  # a chunk goes before its tick's packet
+    return MuxStream(tick[order], significant[order], video[order], header)
 
 
 def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) -> RateSeries:

@@ -424,23 +424,29 @@ class Simulator:
 
 
 def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
-    from . import sampling  # numpy loads only for a scenario that synthesizes a signal
+    # numpy and sampling load only for a scenario that synthesizes a signal
+    import numpy as np
+
+    from . import sampling
 
     spec = flow.signal if flow.signal.seed else replace(flow.signal, seed=seed)
     samples = sampling.synth_haptic_trace(spec, duration)
     flags = sampling.deadband_filter(samples, flow.deadband)
-    packets = sampling.vh_mux(flags, flow.video_rate, flow.header)
-    # packets of one make-up (kind, header, video bytes) share one size and
-    # one breakdown dict, as the packets of a cbr source do
-    makeups: dict[tuple, tuple[int, dict]] = {}
-    sched = []
-    for p in packets:
-        if p.time < duration:
-            makeup = makeups.get(p[1:])
-            if makeup is None:
-                makeup = makeups[p[1:]] = (p.size, p.breakdown)
-            sched.append((_ns(p.time), *makeup))
-    return tuple(sched)
+    stream = sampling.vh_mux(flags, flow.video_rate, flow.header)
+    times = stream.tick * sampling.HAPTIC_TICK
+    keep = times < duration
+    t_ns = np.rint(times[keep] * 1e9).astype(np.int64)
+    header, video = stream.header_bytes, stream.video_bytes[keep]
+    sizes = np.rint(header + video).astype(np.int64)
+    # packets of one make-up share one breakdown dict, as the packets of a
+    # cbr source do; the key is the video bytes, negated when significant
+    makeups, which = np.unique(
+        np.where(stream.significant[keep], -video, video), return_inverse=True)
+    breakdowns = np.array([
+        {"haptic": header, "video": -v} if v < 0 else {"header": header, "video": v}
+        for v in makeups.tolist()
+    ])
+    return tuple(zip(t_ns.tolist(), sizes.tolist(), breakdowns[which].tolist()))
 
 
 def build_simulator(config: ScenarioConfig) -> Simulator:

@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import record_acceptance
@@ -46,6 +47,7 @@ from teleqos import (
     vh_mux,
     w_min,
 )
+from teleqos.sampling import HAPTIC_TICK
 from teleqos.simulator import InsufficientCycles
 from teleqos.validation import haptic_spec_of, run_validation
 
@@ -264,8 +266,9 @@ def test_criterion_6_provisioning_dichotomy():
     signal = SignalSpec(kind="contact-burst", amplitude=1.0, seed=7)
     samples = synth_haptic_trace(signal, 60.0)
     flags = deadband_filter(samples, 0.1)
-    packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
-    series = instantaneous_rate([(p.time, float(p.size)) for p in packets], window=0.1)
+    stream = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
+    sizes = np.rint(stream.header_bytes + stream.video_bytes)
+    series = instantaneous_rate(np.column_stack((stream.tick * HAPTIC_TICK, sizes)), window=0.1)
 
     results = {}
     for label, residual in (("mean", series.mean), ("peak", series.peak)):

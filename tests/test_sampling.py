@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import deadband_by_rows, filtered_noise_by_rows, mux_by_ticks
 
 from teleqos import (
@@ -85,47 +87,46 @@ def test_zero_reference_absolute_epsilon():
 
 def test_mux_degenerate_all_significant_is_cbr_stream():
     flags = np.ones(200, dtype=bool)
-    packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
-    assert len(packets) == 200
-    assert all(p.kind == "significant" and p.size == 137 for p in packets)
-    times = [p.time for p in packets]
-    assert times == [i * HAPTIC_TICK for i in range(200)]
+    stream = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
+    assert len(stream) == 200
+    assert stream.significant.all()
+    assert (stream.header_bytes + stream.video_bytes == 137.0).all()
+    assert stream.tick.tolist() == list(range(200))
 
 
 def test_mux_silent_run_emits_15ms_chunks():
     flags = np.zeros(100, dtype=bool)
     flags[0] = True
-    packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
-    chunks = [p for p in packets if p.kind == "chunk"]
+    stream = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
+    chunks = ~stream.significant
     # 400 kbps * 15 ms = 750 B of video per chunk
-    assert all(c.video_bytes == pytest.approx(750.0) for c in chunks[:-1])
-    gaps = np.diff([c.time for c in chunks[:-1]])
-    assert np.allclose(gaps, CHUNK_TICKS * HAPTIC_TICK)
+    assert stream.video_bytes[chunks][:-1] == pytest.approx(750.0)
+    gaps = np.diff(stream.tick[chunks][:-1])
+    assert (gaps == CHUNK_TICKS).all()
 
 
 def test_mux_conserves_video_bytes():
     for seed in (1, 2, 3):
         samples = synth_haptic_trace(SignalSpec(kind="contact-burst", seed=seed), 8.0)
         flags = deadband_filter(samples, 0.1)
-        packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
-        total = sum(p.video_bytes for p in packets)
+        stream = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
+        total = sum(stream.video_bytes.tolist())
         assert total == pytest.approx(len(flags) * (400e3 / 8) * HAPTIC_TICK, rel=1e-9)
 
 
 def test_mux_video_latency_bound():
     samples = synth_haptic_trace(SignalSpec(kind="contact-burst", seed=5), 8.0)
     flags = deadband_filter(samples, 0.1)
-    packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
+    stream = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
     per_tick = (400e3 / 8) * HAPTIC_TICK
     accrued = 0.0  # video bytes generated so far, tick granularity
     emitted = 0.0
-    tick = 0
-    by_time = iter(packets)
+    by_time = zip(stream.tick.tolist(), stream.video_bytes.tolist())
     pkt = next(by_time, None)
     for tick in range(len(flags)):
         accrued += per_tick
-        while pkt is not None and pkt.time <= tick * HAPTIC_TICK + 1e-12:
-            emitted += pkt.video_bytes
+        while pkt is not None and pkt[0] <= tick:
+            emitted += pkt[1]
             pkt = next(by_time, None)
         # nothing generated more than 15 ticks ago may still be pending
         assert accrued - emitted <= CHUNK_TICKS * per_tick + 1e-9
@@ -135,10 +136,10 @@ def test_mux_flush_precedes_significant_packet():
     flags = np.zeros(20, dtype=bool)
     flags[0] = True
     flags[7] = True
-    packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
-    at_7 = [p for p in packets if abs(p.time - 7 * HAPTIC_TICK) < 1e-12]
-    assert [p.kind for p in at_7] == ["chunk", "significant"]
-    assert at_7[0].video_bytes == pytest.approx(6 * 50.0)
+    stream = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
+    at_7 = stream.tick == 7
+    assert stream.significant[at_7].tolist() == [False, True]
+    assert stream.video_bytes[at_7][0] == pytest.approx(6 * 50.0)
 
 
 def test_synthetic_traces_deterministic():
@@ -170,6 +171,15 @@ def test_invalid_signal_spec():
         SignalSpec(kind="whatever")
     with pytest.raises(InvalidSignalSpec):
         synth_haptic_trace(SignalSpec(), 0.0)
+
+
+@pytest.mark.parametrize("video_rate, header", [
+    (0.0, 87.0), (-1.0, 87.0), (math.nan, 87.0), (math.inf, 87.0),
+    (50e3, 0.0), (50e3, math.nan), (50e3, math.inf),
+])
+def test_mux_rejects_a_rate_or_header_that_is_not_positive_and_finite(video_rate, header):
+    with pytest.raises(InvalidSignalSpec, match="positive and finite"):
+        vh_mux(np.ones(3, dtype=bool), video_rate, header)
 
 
 @pytest.mark.parametrize("kind", ["contact-burst", "filtered-noise", "sum-of-sinusoids"])
@@ -204,8 +214,13 @@ EQUIVALENCE_DURATIONS = (1e-3, 2e-3, 0.016, 0.3, 5.0)
 MUX_CASES = ((400e3 / 8, 87.0), (123456.789, 40.5), (300.0, 87.0), (1e-6, 87.0))
 
 
-def _fields(packets):
-    return [(p.time, p.kind, p.header_bytes, p.video_bytes) for p in packets]
+def _fields(stream):
+    """The stream as the oracle's (time, kind, header, video) tuples."""
+    kinds = ["significant" if sig else "chunk" for sig in stream.significant.tolist()]
+    return [
+        (tick * HAPTIC_TICK, kind, stream.header_bytes, video)
+        for tick, kind, video in zip(stream.tick.tolist(), kinds, stream.video_bytes.tolist())
+    ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
@@ -220,8 +235,8 @@ def test_kernels_match_reference_loops(kind, seed):
             assert flags.dtype == bool
             assert flags.tolist() == deadband_by_rows(samples, k).tolist()
             for video_rate, header in MUX_CASES:
-                packets = vh_mux(flags, video_rate, header)
-                assert _fields(packets) == mux_by_ticks(flags, video_rate, header)
+                stream = vh_mux(flags, video_rate, header)
+                assert _fields(stream) == mux_by_ticks(flags, video_rate, header)
 
 
 HAND_MADE = {
@@ -256,8 +271,43 @@ def test_deadband_hand_made_cases_match_reference(name):
         flags = deadband_filter(samples, k)
         assert flags.tolist() == deadband_by_rows(samples, k).tolist()
         for video_rate, header in MUX_CASES:
-            packets = vh_mux(flags, video_rate, header)
-            assert _fields(packets) == mux_by_ticks(flags, video_rate, header)
+            stream = vh_mux(flags, video_rate, header)
+            assert _fields(stream) == mux_by_ticks(flags, video_rate, header)
+
+
+# video rates and the flush count each reaches, the number of quiet ticks
+# whose summed video first reaches 15 ticks' worth less the 1e-9 slack:
+# below about 6.7e-8 B/s the target is negative and every quiet tick
+# flushes; at 1.3e-7 B/s the slack is worth over 7 ticks' video; at
+# 400 kbps it is lost in rounding; and at about 2.17 GB/s fifteen summed
+# ticks round below 15 * per_tick, so a sixteenth is needed
+FLUSH_CASES = ((1e-8, 1), (1.3e-7, 8), (400e3 / 8, 15), (2166777371.9, 16))
+
+
+@pytest.mark.parametrize("video_rate, flush", FLUSH_CASES)
+def test_mux_flush_cases_reach_their_flush_count(video_rate, flush):
+    quiet = np.zeros(40, dtype=bool)
+    assert mux_by_ticks(quiet, video_rate, 87.0)[0][0] == (flush - 1) * HAPTIC_TICK
+    assert vh_mux(quiet, video_rate, 87.0).tick[0] == flush - 1
+
+
+@given(
+    st.data(),
+    st.integers(0, 300),
+    st.floats(0.0, 1.0),
+    st.sampled_from([video_rate for video_rate, _ in FLUSH_CASES]),
+    st.sampled_from([87.0, 40.5]),
+)
+def test_mux_matches_the_tick_loop_on_random_flags(data, n, density, video_rate, header):
+    draws = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    flags = np.array(draws) < density  # density 0 is all quiet, 1 all significant
+    assert _fields(vh_mux(flags, video_rate, header)) == mux_by_ticks(flags, video_rate, header)
+
+
+def _pairs(stream):
+    """The (time, size) pair of each packet as an (N, 2) array."""
+    sizes = np.rint(stream.header_bytes + stream.video_bytes)
+    return np.column_stack((stream.tick * HAPTIC_TICK, sizes))
 
 
 def test_instantaneous_rate_flat_for_cbr():
@@ -271,8 +321,7 @@ def test_instantaneous_rate_flat_for_cbr():
 def test_instantaneous_rate_fluctuates_for_bursty_stream():
     samples = synth_haptic_trace(SignalSpec(kind="contact-burst", seed=13), 30.0)
     flags = deadband_filter(samples, 0.1)
-    packets = vh_mux(flags, video_rate=400e3 / 8, header=87.0)
-    series = instantaneous_rate([(p.time, float(p.size)) for p in packets], window=0.1)
+    series = instantaneous_rate(_pairs(vh_mux(flags, video_rate=400e3 / 8, header=87.0)), window=0.1)
     assert series.peak / series.mean > 1.2
 
 
@@ -285,8 +334,8 @@ def test_instantaneous_rate_takes_equal_times_in_size_order():
 
 def test_instantaneous_rate_takes_an_array_of_pairs_like_a_list():
     samples = synth_haptic_trace(SignalSpec(kind="contact-burst", seed=13), 5.0)
-    packets = vh_mux(deadband_filter(samples, 0.1), video_rate=400e3 / 8, header=87.0)
-    pairs = [(p.time, float(p.size)) for p in reversed(packets)]
+    stream = vh_mux(deadband_filter(samples, 0.1), video_rate=400e3 / 8, header=87.0)
+    pairs = _pairs(stream)[::-1].tolist()
     from_list = instantaneous_rate(pairs, window=0.1)
     from_array = instantaneous_rate(np.array(pairs), window=0.1)
     assert np.array_equal(from_array.times, from_list.times)

@@ -301,6 +301,37 @@ def test_cli_simulate_opens_its_outputs_before_running(tmp_path, capsys, monkeyp
     assert "No such file or directory" in capsys.readouterr().err
 
 
+ADAPTIVE_FLOW = (
+    "\n[flow.vh]\nkind = adaptive\ndeadband = 0.1\nvideo_rate = 400 kbps\n"
+    "signal = contact-burst\namplitude = 1.0\nsignal_seed = 7\n"
+)
+
+
+@pytest.mark.parametrize("command, work, argv", [
+    ("validate", "run", ["--sweep", "R=2Mbps,3Mbps"]),
+    ("rates", "build_simulator", []),
+])
+def test_cli_opens_out_before_its_work(tmp_path, capsys, monkeypatch, command, work, argv):
+    # a sweep or a synthesized stream is not thrown away for a bad --out path
+    monkeypatch.setattr(simulator, work, _no_run)
+    text = baseline_text().replace("rate = 1.904 Mbps", "rate = 1 Mbps") + ADAPTIVE_FLOW
+    path = write_cfg(tmp_path, text)
+    out = str(tmp_path / "missing" / "o.txt")
+    assert main([command, "--config", path, *argv, "--out", out]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_cli_simulate_keeps_out_when_it_fails_after_its_run(tmp_path, capsys):
+    # the shipped scenario warms up for 20 s, so a 20 s run measures
+    # nothing: the error comes after the run and the report is not written
+    out_path = tmp_path / "report.txt"
+    out_path.write_text("an earlier report\n")
+    path = write_cfg(tmp_path, baseline_text())
+    assert main(["simulate", "--config", path, "--duration", "20", "--out", str(out_path)]) == 2
+    assert "no haptic bytes" in capsys.readouterr().err
+    assert out_path.read_text() == "an earlier report\n"
+
+
 def test_cli_simulate_writes_its_report_to_out(tmp_path, capsys):
     path = write_cfg(tmp_path, baseline_text())
     argv = ["simulate", "--config", path, "--duration", "3", "--warmup", "1"]
@@ -352,10 +383,7 @@ def test_cli_validate_bad_sweep(tmp_path, capsys):
 
 
 def test_cli_rates(tmp_path, capsys):
-    text = baseline_text() + (
-        "\n[flow.vh]\nkind = adaptive\ndeadband = 0.1\nvideo_rate = 400 kbps\n"
-        "signal = contact-burst\namplitude = 1.0\nsignal_seed = 7\n"
-    )
+    text = baseline_text() + ADAPTIVE_FLOW
     # keep aggregate rate below capacity with the extra flow
     text = text.replace("rate = 1.904 Mbps", "rate = 1 Mbps")
     path = write_cfg(tmp_path, text)
