@@ -133,7 +133,8 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
     series = sampling.instantaneous_rate(pairs, window=args.window)
     if args.format == "csv":
         lines = ["time_s,rate_Bps"]
-        lines += [f"{t:.3f},{r:.1f}" for t, r in zip(series.times, series.rates)]
+        times, rates = series.times.tolist(), series.rates.tolist()
+        lines += [f"{t:.3f},{r:.1f}" for t, r in zip(times, rates)]
         lines.append(f"# peak_Bps,{series.peak:.1f}")
         lines.append(f"# mean_Bps,{series.mean:.1f}")
         text = "\n".join(lines) + "\n"

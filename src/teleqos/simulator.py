@@ -44,11 +44,11 @@ from .scenario import FlowSpec, ScenarioConfig
 ACK_SIZE = 40
 RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
 
-# trace record event names, indexed by code
+# the trace record format: its event names and its header
 REC_EVENTS = ("send", "enqueue", "drop", "dequeue", "deliver", "ack", "window-change")
-REC_SEND, REC_ENQ, REC_DROP, REC_DEQ, REC_DELIV, REC_ACK, REC_WIN = range(7)
 REC_HEADER = "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
-# lines joined into one string at a time while recording, so a long run
+# lines joined into one string at a time while recording (a block may run
+# a few lines over, since it is checked once per event), so a long run
 # never holds one object per event
 REC_BLOCK = 16384
 
@@ -111,9 +111,10 @@ class DropTailQueue:
         serialized = int((t - self.service_start_ns) * self.bytes_per_ns)
         return self.waiting_bytes + (size - serialized if serialized < size else 0)
 
-    def offer(self, pkt, t: int = 0) -> bool:
-        """Admit pkt iff it fits whole; drops are per-packet, never partial."""
-        if self.occupancy(t) + pkt[2] > self.capacity:
+    def offer(self, pkt, occ: int) -> bool:
+        """Admit pkt iff it fits whole on top of occ, the occupancy at its
+        arrival instant; drops are per-packet, never partial."""
+        if occ + pkt[2] > self.capacity:
             return False
         self.waiting_bytes += pkt[2]
         self.packets.append(pkt)
@@ -513,7 +514,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
 
     Metrics cover only events past the scenario's effective warmup; the
     raw trace (record=True, one CSV line per event) covers everything and
-    is kept as one text, joined block by block as the run goes.
+    is kept as one text, joined block by block as the run goes. Each line
+    is formatted where its event happens; on the 60 s baseline (821,521
+    lines) recording raises the engine's CPU time from about 0.8 s to
+    about 1.5 s (Python 3.11, 2-vCPU Xeon).
     Raises SimulationError if the link idles while packets wait, the queue
     exceeds its capacity, or a flow's packets do not balance at the end.
     """
@@ -537,26 +541,20 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         tcp = TcpSource(sim.sources[tcp_id].size, net.n_ack)
         rcv = TcpReceiver(net.n_ack)
         tcp_breakdown = {"tcp-data": tcp.size}
-    rec = None
     if record:
         pieces = [REC_HEADER]  # the header, then one string per full block
         block: list[str] = []
-        labels = [[f"{event},{name}" for name in names] for event in REC_EVENTS]
-        cwnd_text: dict[float, str] = {}
         add_line = block.append
-
-        def rec(t, code, flow, seq, size, occ):
-            # TCP rows carry the window as it stands; other rows leave it empty
-            cwnd = ""
-            if flow == tcp_id:
-                w = tcp.cwnd
-                cwnd = cwnd_text.get(w)
-                if cwnd is None:
-                    cwnd = cwnd_text[w] = f"{w:.3f}"
-            add_line(f"{t},{labels[code][flow]},{seq},{size},{occ},{cwnd}\n")
-            if len(block) == REC_BLOCK:
-                pieces.append("".join(block))
-                block.clear()
+        # each event's "event,flow" label, by flow
+        send_lbl, enq_lbl, drop_lbl, deq_lbl, deliv_lbl, ack_lbl, win_lbl = (
+            [f"{event},{name}" for name in names] for event in REC_EVENTS
+        )
+        # the window column by flow: TCP rows carry the window as it
+        # stands, other rows leave it empty
+        cwnds = [""] * len(names)
+        cwnd_text: dict[float, str] = {}
+        if tcp is not None:
+            cwnds[tcp_id] = cwnd_text[tcp.cwnd] = f"{tcp.cwnd:.3f}"
 
     # the next arrival of each open-loop flow and the TCP packets sent
     # but not yet queued, as (t, flow, seq, size, breakdown); no two
@@ -574,9 +572,12 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     cycles: list[CycleRecord] = []  # closed cycles that started past the warmup
 
     def emit_tcp(t, sends):
+        if record and sends:
+            occ = occupancy(t)  # a burst leaves at one instant
+            label, cwnd = send_lbl[tcp_id], cwnds[tcp_id]
+            for seq in sends:
+                add_line(f"{t},{label},{seq},{tcp.size},{occ},{cwnd}\n")
         for seq in sends:
-            if rec:
-                rec(t, REC_SEND, tcp_id, seq, tcp.size, occupancy(t))
             heappush(heap, (t, tcp_id, seq, tcp.size, tcp_breakdown))
 
     if duration_ns > 0:
@@ -615,7 +616,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 queue.in_service = None
                 link_t = never
                 deliveries.append((t + tau_ns, pkt))
-                code = REC_DEQ
+                occ = queue.waiting_bytes
             else:  # arrival at the queue
                 _, flow, seq, size, breakdown = heap[0]
                 stream = streams[flow]
@@ -629,11 +630,15 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 pw = t >= warmup_ns
                 if pw:
                     m.created += 1
-                if rec and stream is not None:
-                    rec(t, REC_SEND, flow, seq, size, occupancy(t))
+                # one read serves the send row, the admission test, the
+                # drop row and a new loss cycle
+                occ = occupancy(t)
+                if record and stream is not None:
+                    add_line(f"{t},{send_lbl[flow]},{seq},{size},{occ},{cwnds[flow]}\n")
                 pkt = (flow, seq, size, t, breakdown)
-                code = REC_ENQ
-                if not offer(pkt, t):
+                if offer(pkt, occ):
+                    occ += size
+                else:
                     m.dropped_total += 1
                     if pw:
                         m.dropped += 1
@@ -642,8 +647,8 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                             m.media_dropped_bytes[tag] = (
                                 m.media_dropped_bytes.get(tag, 0.0) + nbytes
                             )
-                    if rec:
-                        rec(t, REC_DROP, flow, seq, size, occupancy(t))
+                    if record:
+                        add_line(f"{t},{drop_lbl[flow]},{seq},{size},{occ},{cwnds[flow]}\n")
                     if flow == tcp_id:
                         if last_tcp_drop is not None and t - last_tcp_drop <= merge_gap_ns:
                             cyc.losses += 1
@@ -651,7 +656,6 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                             if cyc is not None and cyc.start_ns >= warmup_ns:
                                 cyc.end_ns = t
                                 cycles.append(cyc)
-                            occ = occupancy(t)
                             cyc = CycleRecord(
                                 start_ns=t, end_ns=t, q_min=occ, q_max=occ,
                                 w_min=tcp.cwnd, losses=1,
@@ -659,8 +663,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                             )
                         last_tcp_drop = t
                     pkt = None
-            if pkt is not None:  # the queue gained or lost a packet
-                occ = occupancy(t)
+            if pkt is not None:  # the queue gained or lost a packet; occ is its new occupancy
                 if occ > capacity:
                     raise SimulationError("queue occupancy exceeded capacity")
                 if t >= warmup_ns:
@@ -673,8 +676,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                         cyc.q_min = occ
                     if occ > cyc.q_max:
                         cyc.q_max = occ
-                if rec:
-                    rec(t, code, pkt[0], pkt[1], pkt[2], occ)
+                if record:
+                    flow = pkt[0]
+                    label = (enq_lbl if kind else deq_lbl)[flow]
+                    add_line(f"{t},{label},{pkt[1]},{pkt[2]},{occ},{cwnds[flow]}\n")
                 if waiting and queue.in_service is None:
                     link_t = t + int(start_next(t)[2] * ns_per_byte + 0.5)
 
@@ -682,8 +687,8 @@ def run(sim: Simulator, record: bool = False) -> Trace:
             flow, seq, size, created, breakdown = deliveries.popleft()[1]
             m = metrics[flow]
             m.delivered_total += 1
-            if rec:
-                rec(t, REC_DELIV, flow, seq, size, occupancy(t))
+            if record:
+                add_line(f"{t},{deliv_lbl[flow]},{seq},{size},{occupancy(t)},{cwnds[flow]}\n")
             if t >= warmup_ns:
                 m.delivered += 1
                 for tag, nbytes in breakdown.items():
@@ -714,13 +719,21 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         elif kind == 3:  # ACK at the TCP sender
             ack_seq = acks.popleft()[1]
             before = tcp.cwnd
-            if rec:
-                rec(t, REC_ACK, tcp_id, ack_seq, ACK_SIZE, occupancy(t))
+            if record:
+                occ = occupancy(t)
+                add_line(f"{t},{ack_lbl[tcp_id]},{ack_seq},{ACK_SIZE},{occ},{cwnds[tcp_id]}\n")
             sends = tcp.on_ack(ack_seq, t)
-            if rec and tcp.cwnd != before:
-                rec(t, REC_WIN, tcp_id, ack_seq, 0, occupancy(t))
-            if cyc is not None and tcp.cwnd < cyc.w_min:
-                cyc.w_min = tcp.cwnd
+            w = tcp.cwnd
+            if record and w != before:
+                # only an ACK changes the window: this row and every later
+                # TCP row carry the new one
+                cwnd = cwnd_text.get(w)
+                if cwnd is None:
+                    cwnd = cwnd_text[w] = f"{w:.3f}"
+                cwnds[tcp_id] = cwnd
+                add_line(f"{t},{win_lbl[tcp_id]},{ack_seq},0,{occ},{cwnd}\n")
+            if cyc is not None and w < cyc.w_min:
+                cyc.w_min = w
             emit_tcp(t, sends)
 
         else:  # RTO timer
@@ -729,6 +742,9 @@ def run(sim: Simulator, record: bool = False) -> Trace:
 
         if waiting and queue.in_service is None:
             raise SimulationError(f"link idle at t = {t} ns with {len(waiting)} packets waiting")
+        if record and len(block) >= REC_BLOCK:
+            pieces.append("".join(block))
+            block.clear()
 
     # census of packets still inside the system, then per-flow conservation
     in_flight = [0] * len(names)

@@ -10,14 +10,7 @@ import numpy as np
 from teleqos.sampling import CHUNK_TICKS, HAPTIC_TICK, ZERO_REF_EPS
 from teleqos.simulator import (
     ACK_SIZE,
-    REC_ACK,
-    REC_DELIV,
-    REC_DEQ,
-    REC_DROP,
-    REC_ENQ,
     REC_EVENTS,
-    REC_SEND,
-    REC_WIN,
     RTO_NS,
     CycleRecord,
     DropTailQueue,
@@ -25,6 +18,9 @@ from teleqos.simulator import (
     TcpReceiver,
     TcpSource,
 )
+
+# trace record event codes, indexing REC_EVENTS
+REC_SEND, REC_ENQ, REC_DROP, REC_DEQ, REC_DELIV, REC_ACK, REC_WIN = range(7)
 
 
 def mtcp_by_timeline(n: int, s_tcp: float, mu: float, rate: float, interval: float) -> int:
@@ -283,7 +279,7 @@ class _HeapEngine:
             self._push_arrival(flow, seq + 1)
             self._record(t, REC_SEND, flow, seq, size)
 
-        if self.queue.offer(pkt, t):
+        if self.queue.offer(pkt, self.queue.occupancy(t)):
             occ = self._note_queue(t)
             self._record(t, REC_ENQ, flow, seq, size, occ)
             if self.queue.in_service is None:

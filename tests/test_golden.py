@@ -116,8 +116,9 @@ def test_golden_cycle_digest(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_recording_does_not_change_results(name):
-    # the queue occupancy of a raw record is read only when recording, so
-    # both paths must agree on every metric, cycle and queue extreme
+    # every arrival reads the queue occupancy whether or not the run
+    # records, and recording adds its own lines and reads on top; both
+    # paths must agree on every metric, cycle and queue extreme
     sim = build_simulator(five_seconds(name))
     recorded = run(sim, record=True)
     assert recorded.metrics["media"].media_bytes

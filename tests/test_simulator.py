@@ -41,38 +41,42 @@ MBPS = 1e6 / 8.0
 # droptail admission arithmetic
 
 
+def _offer(queue: DropTailQueue, size: int, t: int = 0) -> bool:
+    return queue.offer((1, 1, size, 0, None), queue.occupancy(t))
+
+
 def _fill(queue: DropTailQueue, nbytes: int):
-    assert queue.offer((0, 0, nbytes, 0, None), 0)
+    assert _offer(queue, nbytes)
 
 
 def test_queue_offer_rejects_overflow():
     q = DropTailQueue(14000)
     _fill(q, 13900)
-    assert not q.offer((1, 1, 137, 0, None), 0)  # 14037 > 14000
+    assert not _offer(q, 137)  # 14037 > 14000
 
 
 def test_queue_offer_accepts_exact_fit():
     q = DropTailQueue(14000)
     _fill(q, 13860)
-    assert q.offer((1, 1, 137, 0, None), 0)  # 13997 <= 14000
+    assert _offer(q, 137)  # 13997 <= 14000
 
 
 def test_queue_offer_small_packet_outlives_large():
     q = DropTailQueue(14000)
     _fill(q, 13500)
-    assert not q.offer((1, 1, 578, 0, None), 0)  # the TCP packet overflows
-    assert q.offer((2, 1, 137, 0, None), 0)      # the telehaptic one still fits
+    assert not _offer(q, 578)  # the TCP packet overflows
+    assert _offer(q, 137)      # the telehaptic one still fits
 
 
 def test_queue_continuous_drain():
     # a packet in service frees capacity byte by byte
     q = DropTailQueue(1000, mu=1e6)  # 1e6 B/s -> 1 B/us
-    assert q.offer((0, 0, 800, 0, None), 0)
+    _fill(q, 800)
     q.start_next(0)
     assert q.occupancy(0) == 800
     assert q.occupancy(400_000) == 400
-    assert not q.offer((1, 1, 300, 0, None), 0)       # 800 + 300 > 1000
-    assert q.offer((1, 1, 300, 0, None), 100_000)     # 700 remaining + 300 == capacity
+    assert not _offer(q, 300)         # 800 + 300 > 1000
+    assert _offer(q, 300, 100_000)    # 700 remaining + 300 == capacity
 
 
 # --------------------------------------------------------------------------
@@ -195,25 +199,28 @@ def test_conservation_with_packets_on_the_delivery_line():
         assert m.created_total == m.delivered_total + m.dropped_total + trace.in_flight_end[name]
 
 
-def test_conservation_failure_raises(base_scenario, monkeypatch):
+@pytest.mark.parametrize("record", [False, True])
+def test_conservation_failure_raises(base_scenario, monkeypatch, record):
     # a queue that admits packets while busy but never holds them breaks
-    # the ledger, and the engine must say so instead of returning a trace
+    # the ledger, and the engine must say so instead of returning a trace,
+    # whether or not it records
     offer = DropTailQueue.offer
 
-    def leaky_offer(self, pkt, t=0):
-        return True if self.in_service is not None else offer(self, pkt, t)
+    def leaky_offer(self, pkt, occ):
+        return True if self.in_service is not None else offer(self, pkt, occ)
 
     monkeypatch.setattr(DropTailQueue, "offer", leaky_offer)
     with pytest.raises(SimulationError, match="in flight"):
-        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)))
+        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)), record=record)
 
 
-def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch):
+@pytest.mark.parametrize("record", [False, True])
+def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch, record):
     # a link that never takes the head packet into service leaves work
     # waiting on an idle link; the engine must stop at the first such event
     monkeypatch.setattr(DropTailQueue, "start_next", lambda self, t: self.packets[0])
     with pytest.raises(SimulationError, match="link idle at t = 0 ns"):
-        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)))
+        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)), record=record)
 
 
 def _events_at(trace) -> dict[int, list[tuple[str, str]]]:
