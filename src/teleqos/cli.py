@@ -3,7 +3,8 @@
 Subcommands: analyze (closed-form compliance report), simulate (packet-level
 run with measured metrics and loss verdicts), validate (analytic-vs-simulated
 sweep table), rates (adaptive-sampling rate series). Exit codes: 0 on
-success/QoS pass, 1 on QoS fail, 2 on input errors.
+success/QoS pass, 1 on QoS fail, 2 on input errors, paths that cannot be
+opened included, 3 when the simulator breaks one of its post-conditions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .units import UnitError
 EXIT_OK = 0
 EXIT_QOS_FAIL = 1
 EXIT_INPUT = 2
+EXIT_ENGINE = 3
 
 
 def _output(path: str | None) -> Callable[[str], object]:
@@ -128,7 +130,7 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
     write_out = _output(args.out)
     sim = simulator.build_simulator(config)
     src = sim.sources[config.flows.index(flow)]
-    t_ns, sizes, _ = zip(*src.schedule)
+    t_ns, sizes, _ = src.schedule
     pairs = np.column_stack((np.array(t_ns) / 1e9, sizes))
     series = sampling.instantaneous_rate(pairs, window=args.window)
     if args.format == "csv":
@@ -190,9 +192,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_load(args), args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # an OSError's text names its path
         print(f"teleqos: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except simulator.SimulationError as exc:
+        print(f"teleqos: simulation failed: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
 
 
 if __name__ == "__main__":

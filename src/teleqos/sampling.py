@@ -224,8 +224,8 @@ def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) 
     """
     if len(packets) == 0:
         raise EmptyStream("cannot compute a rate series for an empty stream")
-    if window <= 0:
-        raise InvalidSignalSpec(f"window must be positive, got {window}")
+    if not 0 < window < math.inf:
+        raise InvalidSignalSpec(f"window must be finite and positive, got {window}")
     pairs = np.array(packets, dtype=float)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]  # by time, then size
     times = pairs[:, 0]

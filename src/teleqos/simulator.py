@@ -21,7 +21,7 @@ packet of each open-loop source and TCP packets just sent) wait in a heap
 keyed (time, flow id, sequence). The link holds every packet for at least
 1 ns, so completions strictly increase; each delivery follows its
 completion by tau and each ACK its delivery by tau, so deliveries and ACKs
-wait in two FIFO delay lines (deques) already in time order. The one
+wait in FIFO delay lines (deques) already in time order. The one
 pending link completion and the retransmission timer are plain times.
 The loop takes the earliest head of the five; at equal timestamps the
 order is link completion, then queue arrival (lowest flow id, then
@@ -86,6 +86,7 @@ class DropTailQueue:
     whole within the capacity at its arrival instant, and is never
     partially dropped. This keeps every admitted packet's queueing delay
     at exactly occupancy/mu, so delays can never exceed tau + B/mu.
+    Of a packet record the queue reads only the size, at index 3.
     """
 
     __slots__ = (
@@ -107,23 +108,23 @@ class DropTailQueue:
         pkt = self.in_service
         if pkt is None:
             return self.waiting_bytes
-        size = pkt[2]
+        size = pkt[3]
         serialized = int((t - self.service_start_ns) * self.bytes_per_ns)
         return self.waiting_bytes + (size - serialized if serialized < size else 0)
 
     def offer(self, pkt, occ: int) -> bool:
         """Admit pkt iff it fits whole on top of occ, the occupancy at its
         arrival instant; drops are per-packet, never partial."""
-        if occ + pkt[2] > self.capacity:
+        if occ + pkt[3] > self.capacity:
             return False
-        self.waiting_bytes += pkt[2]
+        self.waiting_bytes += pkt[3]
         self.packets.append(pkt)
         return True
 
     def start_next(self, t: int):
         """Move the head waiting packet into service; returns it."""
         pkt = self.packets.popleft()
-        self.waiting_bytes -= pkt[2]
+        self.waiting_bytes -= pkt[3]
         self.in_service = pkt
         self.service_start_ns = t
         return pkt
@@ -285,7 +286,6 @@ class FlowMetrics:
     max_positive_jitter: float = 0.0
     media_bytes: dict = field(default_factory=dict)
     media_dropped_bytes: dict = field(default_factory=dict)
-    last_delay: float | None = None  # of the latest post-warmup delivery, for jitter
     created_total: int = 0
     delivered_total: int = 0
     dropped_total: int = 0
@@ -404,15 +404,18 @@ class _Source:
     size: int = 0
     gap_ns: int = 0
     phase_ns: int = 0
-    schedule: tuple | None = None  # adaptive: ((t_ns, size, breakdown), ...) before the phase
+    schedule: tuple | None = None  # adaptive: (times_ns, sizes, breakdowns) before the phase
 
-    def arrivals(self) -> Iterator[tuple[int, int, dict]]:
-        """A fresh time-ordered iterator of an open-loop source's
-        (t_ns, size, breakdown) arrivals; breakdown maps media to bytes."""
+    def arrivals(self, flow: int) -> Iterator[tuple[int, int, int, int, dict]]:
+        """A fresh time-ordered iterator of an open-loop source's packets as
+        flow `flow`: the (t_ns, flow, seq, size, breakdown) records run()
+        carries to delivery, seq from 0; breakdown maps media to bytes."""
         if self.schedule is not None:
-            return ((t + self.phase_ns, size, brk) for t, size, brk in self.schedule)
+            times, sizes, breakdowns = self.schedule
+            return zip(map(self.phase_ns.__add__, times), repeat(flow), count(), sizes, breakdowns)
         breakdown = {"haptic" if self.kind == "telehaptic" else "cbr-cross": self.size}
-        return zip(count(self.phase_ns, self.gap_ns), repeat(self.size), repeat(breakdown))
+        return zip(count(self.phase_ns, self.gap_ns), repeat(flow), count(),
+                   repeat(self.size), repeat(breakdown))
 
 
 @dataclass(frozen=True)
@@ -424,7 +427,7 @@ class Simulator:
     sources: tuple[_Source, ...]
 
 
-def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
+def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple[list, list, list]:
     # numpy and sampling load only for a scenario that synthesizes a signal
     import numpy as np
 
@@ -447,7 +450,7 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
         {"haptic": header, "video": -v} if v < 0 else {"header": header, "video": v}
         for v in makeups.tolist()
     ])
-    return tuple(zip(t_ns.tolist(), sizes.tolist(), breakdowns[which].tolist()))
+    return t_ns.tolist(), sizes.tolist(), breakdowns[which].tolist()
 
 
 def build_simulator(config: ScenarioConfig) -> Simulator:
@@ -479,7 +482,7 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
         else:  # adaptive
             sched = _adaptive_schedule(flow, max(config.duration, 1e-3), config.seed)
             src = _Source("adaptive", phase_ns=_ns(flow.phase), schedule=sched)
-            sizes = [size for _, size, _ in sched]
+            sizes = sched[1]
             if config.duration > 0 and sizes:
                 adaptive_mean += sum(sizes) / config.duration
         sources.append(src)
@@ -518,6 +521,8 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     is formatted where its event happens; on the 60 s baseline (821,521
     lines) recording raises the engine's CPU time from about 0.8 s to
     about 1.5 s (Python 3.11, 2-vCPU Xeon).
+    A packet is the one record its source's iterator yields (TCP's in the
+    same layout); the heap, queue, link and delivery line pass it on.
     Raises SimulationError if the link idles while packets wait, the queue
     exceeds its capacity, or a flow's packets do not balance at the end.
     """
@@ -552,20 +557,22 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         # the window column by flow: TCP rows carry the window as it
         # stands, other rows leave it empty
         cwnds = [""] * len(names)
-        cwnd_text: dict[float, str] = {}
         if tcp is not None:
-            cwnds[tcp_id] = cwnd_text[tcp.cwnd] = f"{tcp.cwnd:.3f}"
+            cwnds[tcp_id] = f"{tcp.cwnd:.3f}"
 
     # the next arrival of each open-loop flow and the TCP packets sent
-    # but not yet queued, as (t, flow, seq, size, breakdown); no two
-    # entries share (t, flow, seq), so the payload is never compared
+    # but not yet queued, as packet records; no two records share
+    # (t, flow, seq), so the payload is never compared
     heap: list = []
-    deliveries: deque = deque()  # (t, pkt): completion + tau, FIFO
+    deliveries: deque = deque()  # packets past the link, FIFO
+    delivery_t: deque = deque()  # their delivery times: completion + tau
     acks: deque = deque()  # (t, ack_seq): delivery + tau, FIFO
     never = duration_ns + 1
     link_t = never  # completion of the packet in service
     rto_t = never
-    streams = [None if i == tcp_id else src.arrivals() for i, src in enumerate(sim.sources)]
+    streams = [None if i == tcp_id else src.arrivals(i) for i, src in enumerate(sim.sources)]
+    # each flow's latest post-warmup delay; inf makes the first jitter -inf
+    last_delay = [math.inf] * len(names)
     q_min_pw = q_max_pw = None
     last_tcp_drop = None
     cyc = None  # the loss cycle in progress
@@ -581,10 +588,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
             heappush(heap, (t, tcp_id, seq, tcp.size, tcp_breakdown))
 
     if duration_ns > 0:
-        for flow, stream in enumerate(streams):
+        for stream in streams:
             nxt = next(stream, None) if stream is not None else None
             if nxt is not None:
-                heappush(heap, (nxt[0], flow, 0, nxt[1], nxt[2]))
+                heappush(heap, nxt)
         if tcp is not None:
             emit_tcp(0, tcp._new_sends())
             rto_t = RTO_NS
@@ -598,8 +605,8 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         if heap and heap[0][0] < t:
             t = heap[0][0]
             kind = 1
-        if deliveries and deliveries[0][0] < t:
-            t = deliveries[0][0]
+        if delivery_t and delivery_t[0] < t:
+            t = delivery_t[0]
             kind = 2
         if acks and acks[0][0] < t:
             t = acks[0][0]
@@ -615,16 +622,14 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 pkt = queue.in_service
                 queue.in_service = None
                 link_t = never
-                deliveries.append((t + tau_ns, pkt))
+                deliveries.append(pkt)
+                delivery_t.append(t + tau_ns)
                 occ = queue.waiting_bytes
             else:  # arrival at the queue
-                _, flow, seq, size, breakdown = heap[0]
-                stream = streams[flow]
+                stream = streams[heap[0][1]]
                 nxt = next(stream, None) if stream is not None else None
-                if nxt is not None:
-                    heapreplace(heap, (nxt[0], flow, seq + 1, nxt[1], nxt[2]))
-                else:
-                    heappop(heap)
+                pkt = heappop(heap) if nxt is None else heapreplace(heap, nxt)
+                _, flow, seq, size, breakdown = pkt
                 m = metrics[flow]
                 m.created_total += 1
                 pw = t >= warmup_ns
@@ -635,7 +640,6 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 occ = occupancy(t)
                 if record and stream is not None:
                     add_line(f"{t},{send_lbl[flow]},{seq},{size},{occ},{cwnds[flow]}\n")
-                pkt = (flow, seq, size, t, breakdown)
                 if offer(pkt, occ):
                     occ += size
                 else:
@@ -677,14 +681,15 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                     if occ > cyc.q_max:
                         cyc.q_max = occ
                 if record:
-                    flow = pkt[0]
+                    flow = pkt[1]
                     label = (enq_lbl if kind else deq_lbl)[flow]
-                    add_line(f"{t},{label},{pkt[1]},{pkt[2]},{occ},{cwnds[flow]}\n")
+                    add_line(f"{t},{label},{pkt[2]},{pkt[3]},{occ},{cwnds[flow]}\n")
                 if waiting and queue.in_service is None:
-                    link_t = t + int(start_next(t)[2] * ns_per_byte + 0.5)
+                    link_t = t + int(start_next(t)[3] * ns_per_byte + 0.5)
 
         elif kind == 2:  # delivery at the receiver
-            flow, seq, size, created, breakdown = deliveries.popleft()[1]
+            created, flow, seq, size, breakdown = deliveries.popleft()
+            delivery_t.popleft()
             m = metrics[flow]
             m.delivered_total += 1
             if record:
@@ -698,18 +703,15 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                     m.min_delay = delay
                 if m.max_delay is None or delay > m.max_delay:
                     m.max_delay = delay
-                if m.last_delay is not None:
-                    jit = delay - m.last_delay
-                    if jit > m.max_positive_jitter:
-                        m.max_positive_jitter = jit
-                m.last_delay = delay
+                jit = delay - last_delay[flow]
+                if jit > m.max_positive_jitter:
+                    m.max_positive_jitter = jit
+                last_delay[flow] = delay
                 if cyc is not None:
                     name = names[flow]
-                    cur = cyc.flow_delay_min.get(name)
-                    if cur is None or delay < cur:
+                    if delay < cyc.flow_delay_min.get(name, math.inf):
                         cyc.flow_delay_min[name] = delay
-                    cur = cyc.flow_delay_max.get(name)
-                    if cur is None or delay > cur:
+                    if delay > cyc.flow_delay_max.get(name, -math.inf):
                         cyc.flow_delay_max[name] = delay
             if flow == tcp_id:
                 ack = rcv.on_data(seq)
@@ -727,10 +729,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
             if record and w != before:
                 # only an ACK changes the window: this row and every later
                 # TCP row carry the new one
-                cwnd = cwnd_text.get(w)
-                if cwnd is None:
-                    cwnd = cwnd_text[w] = f"{w:.3f}"
-                cwnds[tcp_id] = cwnd
+                cwnds[tcp_id] = cwnd = f"{w:.3f}"
                 add_line(f"{t},{win_lbl[tcp_id]},{ack_seq},0,{occ},{cwnd}\n")
             if cyc is not None and w < cyc.w_min:
                 cyc.w_min = w
@@ -748,12 +747,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
 
     # census of packets still inside the system, then per-flow conservation
     in_flight = [0] * len(names)
-    for pkt in waiting:
-        in_flight[pkt[0]] += 1
+    for pkt in (*waiting, *deliveries):
+        in_flight[pkt[1]] += 1
     if queue.in_service is not None:
-        in_flight[queue.in_service[0]] += 1
-    for _t, pkt in deliveries:
-        in_flight[pkt[0]] += 1
+        in_flight[queue.in_service[1]] += 1
     for m, inside in zip(metrics, in_flight):
         if m.created_total != m.delivered_total + m.dropped_total + inside:
             raise SimulationError(

@@ -198,8 +198,10 @@ class _HeapEngine:
         # the arrival stream of each open-loop flow; None for the TCP flow,
         # whose packets enter through _emit_tcp
         self.arrivals = [
-            None if i == self.tcp_flow else s.arrivals() for i, s in enumerate(sim.sources)
+            None if i == self.tcp_flow else s.arrivals(i) for i, s in enumerate(sim.sources)
         ]
+        # the delay of each flow's latest post-warmup delivery, for jitter
+        self.last_delay: dict[int, float] = {}
 
         # cycle segmentation at TCP queue-overflow drops; drops closer than
         # one worst-case RTT belong to the same overflow event
@@ -214,12 +216,11 @@ class _HeapEngine:
         self.counter += 1
         heappush(self.heap, (t, kind, sub, self.counter, payload))
 
-    def _push_arrival(self, flow: int, seq: int) -> None:
+    def _push_arrival(self, flow: int) -> None:
         """Schedule the next packet of an open-loop flow, if it falls in the run."""
-        nxt = next(self.arrivals[flow], None)
-        if nxt is not None and nxt[0] <= self.duration_ns:
-            t, size, breakdown = nxt
-            self._push(t, EV_ARRIVE, flow, (flow, seq, size, t, breakdown))
+        pkt = next(self.arrivals[flow], None)
+        if pkt is not None and pkt[0] <= self.duration_ns:
+            self._push(pkt[0], EV_ARRIVE, flow, pkt)
 
     def _record(self, t, code, flow, seq, size, occ=None):
         if occ is None:
@@ -242,7 +243,7 @@ class _HeapEngine:
 
     def _start_service(self, t: int) -> None:
         pkt = self.queue.start_next(t)
-        self._push(t + int(pkt[2] * self.ns_per_byte + 0.5), EV_LINK_DONE, 0, None)
+        self._push(t + int(pkt[3] * self.ns_per_byte + 0.5), EV_LINK_DONE, 0, None)
 
     def _tcp_drop(self, t: int) -> None:
         if self.last_tcp_drop_ns is not None and t - self.last_tcp_drop_ns <= self.merge_gap_ns:
@@ -263,20 +264,20 @@ class _HeapEngine:
         tcp = self.tcp
         for seq in sends:
             self._record(t, REC_SEND, self.tcp_flow, seq, tcp.size)
-            pkt = (self.tcp_flow, seq, tcp.size, t, self.tcp_breakdown)
+            pkt = (t, self.tcp_flow, seq, tcp.size, self.tcp_breakdown)
             self._push(t, EV_ARRIVE, self.tcp_flow, pkt)
 
     # -- event handlers ----------------------------------------------------
 
     def _handle_arrive(self, t: int, pkt) -> None:
-        flow, seq, size, _created, breakdown = pkt
+        _created, flow, seq, size, breakdown = pkt
         m = self.metrics[flow]
         m.created_total += 1
         pw = t >= self.warmup_ns
         if pw:
             m.created += 1
         if self.arrivals[flow] is not None:
-            self._push_arrival(flow, seq + 1)
+            self._push_arrival(flow)
             self._record(t, REC_SEND, flow, seq, size)
 
         if self.queue.offer(pkt, self.queue.occupancy(t)):
@@ -299,13 +300,13 @@ class _HeapEngine:
         pkt = self.queue.in_service
         self.queue.in_service = None
         occ = self._note_queue(t)
-        self._record(t, REC_DEQ, pkt[0], pkt[1], pkt[2], occ)
-        self._push(t + self.tau_ns, EV_DELIVER, pkt[0], pkt)
+        self._record(t, REC_DEQ, pkt[1], pkt[2], pkt[3], occ)
+        self._push(t + self.tau_ns, EV_DELIVER, pkt[1], pkt)
         if self.queue.packets:
             self._start_service(t)
 
     def _handle_deliver(self, t: int, pkt) -> None:
-        flow, seq, size, created, breakdown = pkt
+        created, flow, seq, size, breakdown = pkt
         m = self.metrics[flow]
         m.delivered_total += 1
         self._record(t, REC_DELIV, flow, seq, size)
@@ -318,9 +319,10 @@ class _HeapEngine:
                 m.min_delay = delay
             if m.max_delay is None or delay > m.max_delay:
                 m.max_delay = delay
-            if m.last_delay is not None:
-                m.max_positive_jitter = max(m.max_positive_jitter, delay - m.last_delay)
-            m.last_delay = delay
+            last = self.last_delay.get(flow)
+            if last is not None:
+                m.max_positive_jitter = max(m.max_positive_jitter, delay - last)
+            self.last_delay[flow] = delay
             cyc = self.cur_cycle
             if cyc is not None:
                 name = self.names[flow]
@@ -350,7 +352,7 @@ class _HeapEngine:
         if self.duration_ns > 0:
             for flow, arrivals in enumerate(self.arrivals):
                 if arrivals is not None:
-                    self._push_arrival(flow, 0)
+                    self._push_arrival(flow)
             if self.tcp is not None:
                 self._emit_tcp(0, self.tcp._new_sends())
                 self._push(RTO_NS, EV_RTO, 0, None)
@@ -375,12 +377,12 @@ class _HeapEngine:
         names = self.names
         in_flight = {name: 0 for name in names}
         for pkt in self.queue.packets:
-            in_flight[names[pkt[0]]] += 1
+            in_flight[names[pkt[1]]] += 1
         if self.queue.in_service is not None:
-            in_flight[names[self.queue.in_service[0]]] += 1
+            in_flight[names[self.queue.in_service[1]]] += 1
         for _t, kind, _sub, _cnt, payload in heap:
             if kind == EV_DELIVER:
-                in_flight[names[payload[0]]] += 1
+                in_flight[names[payload[1]]] += 1
 
         return HeapRun(
             metrics=dict(zip(names, self.metrics)),

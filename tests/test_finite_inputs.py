@@ -24,6 +24,7 @@ from teleqos import (
     render_scenario,
     units,
 )
+from teleqos.cli import main
 from teleqos.sampling import InvalidSignalSpec
 
 MBPS = 1e6 / 8.0
@@ -137,3 +138,17 @@ def test_scenario_render_parse_roundtrip(mu, tau, buf, s_tcp, n_ack, duration, r
     flows = (FlowSpec(name="media", kind="telehaptic", rate=rate, packet=137.0),)
     cfg = ScenarioConfig(net=net, flows=flows, duration=duration, warmup=duration / 2)
     assert parse_scenario(render_scenario(cfg)) == cfg
+
+
+@pytest.mark.parametrize("window", ["nan", "inf"])
+def test_rate_window_rejects_non_finite(window, tmp_path, capsys):
+    text = (
+        "[network]\nmu = 6 Mbps\ntau = 8 ms\nbuf = 14 kB\ns_tcp = 578 B\n"
+        "[flow.vh]\nkind = adaptive\ndeadband = 0.1\nvideo_rate = 400 kbps\n"
+        "[run]\nduration = 1 s\n"
+    )
+    path = tmp_path / "adaptive.scn"
+    path.write_text(text)
+    assert main(["rates", "--config", str(path), "--window", window]) == 2
+    err = capsys.readouterr().err
+    assert err == f"teleqos: window must be finite and positive, got {float(window)}\n"

@@ -142,7 +142,7 @@ def test_golden_adaptive_stream_digest(kind):
     h.update(samples.tobytes())
     h.update(deadband_filter(samples, 0.1).tobytes())
     sim = build_simulator(parse_scenario(ADAPTIVE_ONLY.format(kind=kind)))
-    for t, size, breakdown in sim.sources[0].schedule:
+    for t, size, breakdown in zip(*sim.sources[0].schedule):
         h.update(repr((t, size, sorted(breakdown.items()))).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_STREAMS[kind]
 

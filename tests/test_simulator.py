@@ -42,7 +42,7 @@ MBPS = 1e6 / 8.0
 
 
 def _offer(queue: DropTailQueue, size: int, t: int = 0) -> bool:
-    return queue.offer((1, 1, size, 0, None), queue.occupancy(t))
+    return queue.offer((0, 1, 1, size, None), queue.occupancy(t))
 
 
 def _fill(queue: DropTailQueue, nbytes: int):
@@ -281,7 +281,7 @@ def test_build_rejects_packet_shorter_than_a_clock_tick(base_net, mu, packet):
 def test_adaptive_schedule_sets_the_tick_check_and_the_mean_rate():
     vh = FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=50e3,
                   signal=SignalSpec(kind="contact-burst", seed=3))
-    sizes = [size for _, size, _ in _adaptive_schedule(vh, 2.0, 1)]
+    sizes = _adaptive_schedule(vh, 2.0, 1)[1]
     fast = NetworkParams(mu=1e12, tau=1e-3, buf=14000.0, s_tcp=578.0)
     with pytest.raises(ConfigError, match=f"^flow 'vh': a {min(sizes)} B packet takes under 1 ns"):
         build_simulator(ScenarioConfig(net=fast, flows=(vh,), duration=2.0, warmup=0.0))

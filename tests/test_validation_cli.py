@@ -248,6 +248,28 @@ def test_cli_missing_file():
     assert main(["analyze", "--config", "/nonexistent.scn"]) == 2
 
 
+def test_cli_directory_as_config_is_an_input_error(capsys):
+    assert main(["analyze", "--config", "/"]) == 2
+    assert capsys.readouterr().err == "teleqos: [Errno 21] Is a directory: '/'\n"
+
+
+def test_cli_directory_as_out_is_an_input_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, baseline_text())
+    assert main(["analyze", "--config", path, "--out", "/"]) == 2
+    assert capsys.readouterr().err == "teleqos: [Errno 21] Is a directory: '/'\n"
+
+
+def test_cli_engine_fault_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    # a link that never takes the head packet into service breaks a
+    # post-condition of the engine, which is neither a QoS failure nor bad input
+    monkeypatch.setattr(simulator.DropTailQueue, "start_next", lambda self, t: self.packets[0])
+    path = write_cfg(tmp_path, baseline_text())
+    assert main(["simulate", "--config", path, "--duration", "0.5", "--warmup", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("teleqos: simulation failed: link idle at t = 0 ns")
+    assert err.count("\n") == 1
+
+
 def test_cli_simulate_with_trace(tmp_path, capsys):
     path = write_cfg(tmp_path, baseline_text())
     trace_path = tmp_path / "events.csv"
