@@ -10,6 +10,7 @@ opened included, 3 when the simulator breaks one of its post-conditions.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import replace
@@ -50,9 +51,7 @@ def _load(args) -> ScenarioConfig:
 
 def _cmd_analyze(config: ScenarioConfig, args) -> int:
     h = validation.haptic_spec_of(config)
-    from .model import qos_check
-
-    report = qos_check(config.net, h, config.qos, config.mux)
+    report = validation.qos_check(config.net, h, config.qos, config.mux)
     _output(args.out)(validation.emit_compliance(report, args.format))
     return EXIT_OK if report.overall else EXIT_QOS_FAIL
 
@@ -106,7 +105,10 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
 
 def _cmd_validate(config: ScenarioConfig, args) -> int:
     var, grid = _parse_sweep(args.sweep)
-    nacks = tuple(int(n) for n in args.nack.split(","))
+    try:
+        nacks = tuple(int(n) for n in args.nack.split(","))
+    except ValueError:
+        raise ValueError(f"--nack must be a comma list of integers, got {args.nack!r}") from None
     write_out = _output(args.out)
     rows = validation.run_validation(
         config, var, grid,
@@ -118,6 +120,8 @@ def _cmd_validate(config: ScenarioConfig, args) -> int:
 
 
 def _cmd_rates(config: ScenarioConfig, args) -> int:
+    if not 0 < args.window < math.inf:  # before the stream is synthesized
+        raise ValueError(f"--window must be finite and positive, got {args.window}")
     # numpy loads only for the commands that need it
     import numpy as np
 
@@ -160,23 +164,24 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True)
     common.add_argument("--out")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--duration", type=float, default=None,
+                        help="simulated seconds (default: the scenario's)")
+    window.add_argument("--warmup", type=float, default=None, help="seconds excluded from metrics")
 
     a = sub.add_parser("analyze", parents=[common], help="closed-form QoS compliance report")
     a.set_defaults(func=_cmd_analyze)
 
-    s = sub.add_parser("simulate", parents=[common], help="packet-level simulation of the scenario")
-    s.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds (default: the scenario's)")
-    s.add_argument("--warmup", type=float, default=None, help="seconds excluded from metrics")
+    s = sub.add_parser("simulate", parents=[common, window],
+                       help="packet-level simulation of the scenario")
     s.add_argument("--trace", help="write the raw event trace CSV here")
     s.set_defaults(func=_cmd_simulate)
 
-    v = sub.add_parser("validate", parents=[common], help="analytic-vs-simulated sweep table")
+    v = sub.add_parser("validate", parents=[common, window],
+                       help="analytic-vs-simulated sweep table")
     v.add_argument("--sweep", required=True, metavar="VAR=a,b,c",
                    help="R or mu with unit-suffixed grid values, e.g. R=2Mbps,3Mbps")
     v.add_argument("--nack", default="1,2", help="comma list of cumulative-ACK factors")
-    v.add_argument("--duration", type=float, default=None)
-    v.add_argument("--warmup", type=float, default=None)
     v.add_argument("--jobs", type=int, default=1)
     v.set_defaults(func=_cmd_validate)
 

@@ -86,6 +86,8 @@ class SignalSpec:
             raise InvalidSignalSpec(f"unknown signal kind {self.kind!r}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise InvalidSignalSpec("amplitude must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidSignalSpec(f"signal seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,8 @@ class ScenarioConfig:
             raise ScenarioSemanticError("duration must be finite and >= 0")
         if self.warmup is not None and not 0 <= self.warmup <= self.duration:
             raise ScenarioSemanticError("warmup must lie within [0, duration]")
+        if self.seed < 0:
+            raise ScenarioSemanticError(f"seed must be >= 0, got {self.seed}")
         names = [f.name for f in self.flows]
         if len(set(names)) != len(names):
             raise ScenarioSemanticError("duplicate flow names")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
 
-from .scenario import FlowSpec, ScenarioConfig
+from .scenario import FlowSpec, ScenarioConfig, ScenarioSemanticError
 
 ACK_SIZE = 40
 RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
@@ -51,10 +51,6 @@ REC_HEADER = "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
 # a few lines over, since it is checked once per event), so a long run
 # never holds one object per event
 REC_BLOCK = 16384
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class SimulationError(RuntimeError):
@@ -457,10 +453,10 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     """Validate the scenario and materialize its traffic sources for the
     scenario's duration.
 
-    Raises ConfigError with a field-level message; in particular, when a
-    TCP source is present, n_ack must be 1 or 2 and the aggregate CBR-like
-    rate (including the realized mean rate of adaptive flows) must stay
-    below the link capacity.
+    Raises ScenarioSemanticError with a field-level message; in particular,
+    when a TCP source is present, n_ack must be 1 or 2 and the aggregate
+    CBR-like rate (including the realized mean rate of adaptive flows) must
+    stay below the link capacity.
     """
     sources: list[_Source] = []
     adaptive_mean = 0.0
@@ -487,21 +483,21 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
                 adaptive_mean += sum(sizes) / config.duration
         sources.append(src)
         if sizes and int(min(sizes) * ns_per_byte + 0.5) < 1:
-            raise ConfigError(
+            raise ScenarioSemanticError(
                 f"flow {flow.name!r}: a {min(sizes)} B packet takes "
                 f"under 1 ns on the link; the nanosecond clock needs at least 1 ns"
             )
 
     if any(src.kind == "tcp" for src in sources):
         if config.net.n_ack > 2:
-            raise ConfigError(
+            raise ScenarioSemanticError(
                 f"n_ack = {config.net.n_ack} with a TCP source: the receiver has no "
                 f"delayed-ACK timer, and RFC 5681 section 4.2 asks for an ACK at least "
                 f"every second full-sized segment"
             )
         total = config.fixed_cbr_rate + adaptive_mean
         if total >= config.net.mu:
-            raise ConfigError(
+            raise ScenarioSemanticError(
                 f"flows: aggregate CBR rate {total:.6g} B/s (incl. adaptive mean) "
                 f">= link capacity {config.net.mu:.6g} B/s with a TCP source present"
             )

@@ -121,11 +121,11 @@ def _sweep_config(config: ScenarioConfig, var: str, value: float) -> ScenarioCon
 
 
 def _one_point(
-    cfg: ScenarioConfig, control: float, sim: simulator.Simulator | None
+    cfg: ScenarioConfig, control: float, h: HapticFlowSpec, sim: simulator.Simulator | None
 ) -> ValidationRow:
-    """The row of one sweep point; sim, the point's built simulator, adds
-    the measured columns when given."""
-    h = haptic_spec_of(cfg)
+    """The row of one sweep point from its closed-form inputs h (its
+    haptic_spec_of); sim, the point's built simulator, adds the measured
+    columns when given."""
     agg = CbrAggregate(h.rate_total)
     flags = validity_check(cfg.net, agg)
     dmin_a, dmax_a = delay_bounds(cfg.net, agg)
@@ -177,8 +177,8 @@ def run_validation(
         swept = _sweep_config(config, var, value)
         for nack in sorted(nack_grid):
             cfg = replace(swept, net=replace(swept.net, n_ack=nack))
-            haptic_spec_of(cfg)  # the closed forms reject a bad point here, before any run
-            points.append((cfg, value, simulator.build_simulator(cfg) if simulate else None))
+            h = haptic_spec_of(cfg)  # the closed forms reject a bad point here, before any run
+            points.append((cfg, value, h, simulator.build_simulator(cfg) if simulate else None))
     workers = min(jobs, len(points))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -16,7 +16,9 @@ the measured loss stays ~0.05%, far below every QoS limit.
 import math
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -58,6 +60,17 @@ R_GRID_MBPS = (1.096, 2.0, 3.0, 4.0, 5.0, 5.5)
 DMIN_REF_MS = (9.91, 10.74, 12.27, 14.81, 19.87, 22.68)
 MU_GRID_MBPS = (9.0, 12.0, 15.0, 18.0, 21.0, 25.0)
 JITTER_REF_MS = (1.46, 1.62, 1.09, 0.84, 0.49, 0.63)
+
+
+def _flow_metrics(cfg: ScenarioConfig, flow: str):
+    return run(build_simulator(cfg)).metrics[flow]
+
+
+def flow_metrics(cfgs: list[ScenarioConfig], flow: str) -> list:
+    """The flow's metrics in a run of each scenario; the runs are
+    independent, so they share two processes."""
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(_flow_metrics, cfgs, repeat(flow)))
 
 
 def base_net(n_ack: int = 1) -> NetworkParams:
@@ -160,6 +173,7 @@ def test_criterion_3_jitter_table():
     analytic_failures = []
     envelope_failures = []
     details = []
+    best = []
     for mu_mbps, ref_ms in zip(MU_GRID_MBPS, JITTER_REF_MS):
         mu = mu_mbps * MBPS
         best_n, best_err, best_a = None, None, None
@@ -174,9 +188,11 @@ def test_criterion_3_jitter_table():
                 f"mu={mu_mbps}: best analytic {best_a / MS:.3f} ms (n={best_n}) "
                 f"vs {ref_ms} ms ({best_err * 100:.0f}% off)"
             )
-        cfg = jitter_scenario(mu, best_n)
-        trace = run(build_simulator(cfg))
-        jit_s = trace.metrics["media"].max_positive_jitter
+        best.append((mu_mbps, best_n, best_a))
+    simulated = flow_metrics([jitter_scenario(mu_m * MBPS, n) for mu_m, n, _ in best], "media")
+    for (mu_mbps, best_n, best_a), m in zip(best, simulated):
+        mu = mu_mbps * MBPS
+        jit_s = m.max_positive_jitter
         single_loss = 7.996 * MBPS <= 0.65 * mu
         if single_loss and not (0.7 * best_a <= jit_s <= best_a + 0.05 * MS):
             envelope_failures.append(
@@ -198,14 +214,6 @@ def test_criterion_3_jitter_table():
     )
 
 
-@pytest.fixture(scope="module")
-def base_500s_loss():
-    flows = (telehaptic_flow(), FlowSpec(name="bulk", kind="tcp"))
-    cfg = ScenarioConfig(net=base_net(), flows=flows, duration=500.0, warmup=50.0)
-    trace = run(build_simulator(cfg))
-    return trace.metrics["media"]
-
-
 def inflated_scenario(total_rate: float) -> ScenarioConfig:
     flows = [
         FlowSpec(name="media", kind="telehaptic", rate=4.528 * MBPS, packet=566.0, gap=1 * MS),
@@ -217,20 +225,19 @@ def inflated_scenario(total_rate: float) -> ScenarioConfig:
     return ScenarioConfig(net=base_net(), flows=tuple(flows), duration=120.0, warmup=20.0)
 
 
-def test_criterion_4_loss_dichotomy(base_500s_loss):
+def test_criterion_4_loss_dichotomy():
     """137 B packets: zero loss over 500 s; 566 B packets: loss in (1%, 10%)."""
-    m = base_500s_loss
+    flows = (telehaptic_flow(), FlowSpec(name="bulk", kind="tcp"))
+    base = ScenarioConfig(net=base_net(), flows=flows, duration=500.0, warmup=50.0)
+    r_grid = (4.528, 5.0, 5.5)
+    m, *inflated_m = flow_metrics([base] + [inflated_scenario(r * MBPS) for r in r_grid], "media")
     base_ok = m.dropped == 0
     base_detail = (
         f"base 500 s: {m.dropped}/{m.delivered + m.dropped} telehaptic drops "
         f"({m.loss_fraction * 100:.3f}%)"
     )
 
-    inflated = {}
-    for r_mbps in (4.528, 5.0, 5.5):
-        cfg = inflated_scenario(r_mbps * MBPS)
-        trace = run(build_simulator(cfg))
-        inflated[r_mbps] = trace.metrics["media"].loss_fraction
+    inflated = {r_mbps: mi.loss_fraction for r_mbps, mi in zip(r_grid, inflated_m)}
     inflated_ok = (
         all(0.0 < frac < 0.10 for frac in inflated.values())
         and any(frac > 0.01 for frac in inflated.values())
@@ -270,17 +277,18 @@ def test_criterion_6_provisioning_dichotomy():
     sizes = np.rint(stream.header_bytes + stream.video_bytes)
     series = instantaneous_rate(np.column_stack((stream.tick * HAPTIC_TICK, sizes)), window=0.1)
 
-    results = {}
-    for label, residual in (("mean", series.mean), ("peak", series.peak)):
+    cfgs = []
+    for residual in (series.mean, series.peak):
         flows = (
             FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=400e3 / 8,
                      header=87.0, signal=signal),
             FlowSpec(name="cross", kind="cbr", rate=net.mu - residual, packet=150.0),
         )
-        cfg = ScenarioConfig(net=net, flows=flows, duration=60.0, warmup=5.0, seed=7)
-        trace = run(build_simulator(cfg))
-        m = trace.metrics["vh"]
-        results[label] = (m.media_loss.get("video", 0.0), m.max_delay, m.dropped)
+        cfgs.append(ScenarioConfig(net=net, flows=flows, duration=60.0, warmup=5.0, seed=7))
+    results = {
+        label: (m.media_loss.get("video", 0.0), m.max_delay, m.dropped)
+        for label, m in zip(("mean", "peak"), flow_metrics(cfgs, "vh"))
+    }
 
     video_loss_mean, max_delay_mean, _ = results["mean"]
     video_loss_peak, _, dropped_peak = results["peak"]

@@ -22,10 +22,12 @@ from teleqos import (
     SignalSpec,
     parse_scenario,
     render_scenario,
+    simulator,
     units,
 )
 from teleqos.cli import main
 from teleqos.sampling import InvalidSignalSpec
+from test_validation_cli import _no_run
 
 MBPS = 1e6 / 8.0
 
@@ -140,15 +142,33 @@ def test_scenario_render_parse_roundtrip(mu, tau, buf, s_tcp, n_ack, duration, r
     assert parse_scenario(render_scenario(cfg)) == cfg
 
 
-@pytest.mark.parametrize("window", ["nan", "inf"])
-def test_rate_window_rejects_non_finite(window, tmp_path, capsys):
-    text = (
-        "[network]\nmu = 6 Mbps\ntau = 8 ms\nbuf = 14 kB\ns_tcp = 578 B\n"
-        "[flow.vh]\nkind = adaptive\ndeadband = 0.1\nvideo_rate = 400 kbps\n"
-        "[run]\nduration = 1 s\n"
-    )
+NETWORK = "[network]\nmu = 6 Mbps\ntau = 8 ms\nbuf = 14 kB\ns_tcp = 578 B\n"
+ADAPTIVE = "[flow.vh]\nkind = adaptive\ndeadband = 0.1\nvideo_rate = 400 kbps\n"
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "0", "-1"])
+def test_rate_window_rejects_non_finite(window, tmp_path, capsys, monkeypatch):
+    # --window is checked before the adaptive stream is built
+    monkeypatch.setattr(simulator, "build_simulator", _no_run)
     path = tmp_path / "adaptive.scn"
-    path.write_text(text)
+    path.write_text(NETWORK + ADAPTIVE + "[run]\nduration = 1 s\n")
     assert main(["rates", "--config", str(path), "--window", window]) == 2
     err = capsys.readouterr().err
-    assert err == f"teleqos: window must be finite and positive, got {float(window)}\n"
+    assert err == f"teleqos: --window must be finite and positive, got {float(window)}\n"
+
+
+@pytest.mark.parametrize("flows, argv, message", [
+    (ADAPTIVE, ["--seed", "-1", "rates"], "seed must be >= 0, got -1"),
+    ("[flow.cross]\nkind = cbr\nrate = 1 Mbps\npacket = 150 B\n[run]\nseed = -1\n",
+     ["simulate"], "seed must be >= 0, got -1"),
+    (ADAPTIVE + "signal_seed = -1\n", ["rates"], "signal seed must be >= 0, got -1"),
+    ("[flow.media]\nkind = telehaptic\nrate = 1.096 Mbps\npacket = 137 B\n",
+     ["validate", "--sweep", "mu=6Mbps", "--nack", "x"],
+     "--nack must be a comma list of integers, got 'x'"),
+])
+def test_cli_names_a_bad_seed_or_nack(flows, argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulator, "build_simulator", _no_run)
+    path = tmp_path / "scenario.scn"
+    path.write_text(NETWORK + flows)
+    assert main([*argv, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"teleqos: {message}\n"

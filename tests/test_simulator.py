@@ -13,6 +13,7 @@ from teleqos import (
     FlowSpec,
     NetworkParams,
     ScenarioConfig,
+    ScenarioSemanticError,
     SignalSpec,
     baseline_text,
     build_simulator,
@@ -20,12 +21,11 @@ from teleqos import (
     extract_cycles,
     parse_scenario,
     run,
+    simulator,
 )
 from teleqos.simulator import (
     CA,
     FR,
-    REC_BLOCK,
-    ConfigError,
     DropTailQueue,
     InsufficientCycles,
     SimulationError,
@@ -274,7 +274,7 @@ def test_build_rejects_packet_shorter_than_a_clock_tick(base_net, mu, packet):
     flows = (FlowSpec(name="tiny", kind="cbr", rate=packet / 1e-3, packet=packet, gap=1e-3),)
     net = NetworkParams(mu=mu, tau=1e-3, buf=14000.0, s_tcp=578.0, n_ack=1)
     cfg = ScenarioConfig(net=net, flows=flows, duration=0.1, warmup=0.0)
-    with pytest.raises(ConfigError, match="under 1 ns"):
+    with pytest.raises(ScenarioSemanticError, match="under 1 ns"):
         build_simulator(cfg)
 
 
@@ -283,13 +283,13 @@ def test_adaptive_schedule_sets_the_tick_check_and_the_mean_rate():
                   signal=SignalSpec(kind="contact-burst", seed=3))
     sizes = _adaptive_schedule(vh, 2.0, 1)[1]
     fast = NetworkParams(mu=1e12, tau=1e-3, buf=14000.0, s_tcp=578.0)
-    with pytest.raises(ConfigError, match=f"^flow 'vh': a {min(sizes)} B packet takes under 1 ns"):
+    with pytest.raises(ScenarioSemanticError, match=f"^flow 'vh': a {min(sizes)} B packet takes under 1 ns"):
         build_simulator(ScenarioConfig(net=fast, flows=(vh,), duration=2.0, warmup=0.0))
     # a link exactly as fast as the adaptive mean rate leaves TCP nothing
     mean = sum(sizes) / 2.0
     tight = NetworkParams(mu=mean, tau=1e-3, buf=14000.0, s_tcp=578.0)
     flows = (vh, FlowSpec(name="bulk", kind="tcp"))
-    with pytest.raises(ConfigError, match=rf"aggregate CBR rate {mean:.6g} B/s \(incl\. adaptive mean\)"):
+    with pytest.raises(ScenarioSemanticError, match=rf"aggregate CBR rate {mean:.6g} B/s \(incl\. adaptive mean\)"):
         build_simulator(ScenarioConfig(net=tight, flows=flows, duration=2.0, warmup=0.0))
 
 
@@ -314,17 +314,19 @@ def test_trace_csv_of_an_empty_run_is_the_header(base_scenario):
     assert trace.to_csv() == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
 
 
-def test_recording_holds_about_two_copies_of_the_trace_text(base_scenario):
+def test_recording_holds_about_two_copies_of_the_trace_text(base_scenario, monkeypatch):
     # the engine joins its lines block by block, so the peak is the pieces
-    # plus the joined text at the final join, not one object per event
-    sim = build_simulator(replace(base_scenario, duration=5.0, warmup=1.0))
+    # plus the joined text at the final join, not one object per event; the
+    # ratio does not depend on the run's length, so small blocks keep it short
+    monkeypatch.setattr(simulator, "REC_BLOCK", 1024)
+    sim = build_simulator(replace(base_scenario, duration=0.5, warmup=0.1))
     tracemalloc.start()
     try:
         csv = run(sim, record=True).to_csv()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert csv.count("\n") > 4 * REC_BLOCK  # several full blocks and a partial one
+    assert csv.count("\n") > 4 * simulator.REC_BLOCK  # several full blocks and a partial one
     assert peak < 2.5 * len(csv)
 
 
@@ -485,7 +487,7 @@ def test_build_rejects_n_ack_above_two_with_tcp(base_scenario, n_ack):
     # without a delayed-ACK timer, n >= 3 leaves the first ACK to the RTO
     # and stalls TCP; a run without TCP has no receiver to stall
     cfg = replace(base_scenario, net=replace(base_scenario.net, n_ack=n_ack))
-    with pytest.raises(ConfigError, match="RFC 5681"):
+    with pytest.raises(ScenarioSemanticError, match="RFC 5681"):
         build_simulator(cfg)
     cbr_only = replace(cfg, flows=tuple(f for f in cfg.flows if f.kind != "tcp"))
     assert build_simulator(cbr_only).sources

@@ -121,7 +121,7 @@ def test_run_validation_builds_every_point_before_running_any(base_cfg, monkeypa
     # simulate on, it is rejected when the points are built, before the
     # n_ack = 1 points ahead of it run
     monkeypatch.setattr(simulator, "run", _no_run)
-    with pytest.raises(simulator.ConfigError, match="n_ack = 3 with a TCP source"):
+    with pytest.raises(ScenarioSemanticError, match="n_ack = 3 with a TCP source"):
         run_validation(base_cfg, "R", [2 * MBPS, 3 * MBPS], nack_grid=(1, 3), jobs=jobs)
 
 
