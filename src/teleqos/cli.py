@@ -29,7 +29,9 @@ def _output(path: str | None) -> Callable[[str], object]:
     """A function that writes a command's text to the file at path, or to
     stdout without a path. The file opens here, without truncation, so a
     path that cannot be written fails before the command's work, and the
-    file keeps its contents until the text replaces them."""
+    file keeps its contents until the text replaces them. The text goes to
+    the file in 1 MiB slices, so only one slice at a time is encoded and a
+    35 MB trace is never held twice."""
     if not path:
         return lambda text: sys.stdout.write(text)  # looked up when written
     with open(path, "a", encoding="utf-8"):
@@ -37,7 +39,8 @@ def _output(path: str | None) -> Callable[[str], object]:
 
     def write(text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for i in range(0, len(text), 1 << 20):
+                fh.write(text[i:i + (1 << 20)])
 
     return write
 
@@ -65,8 +68,6 @@ def _cmd_simulate(config: ScenarioConfig, args) -> int:
     write_trace = args.trace and _output(args.trace)
     write_out = _output(args.out)
     trace = simulator.run(sim, record=bool(args.trace))
-    if write_trace:
-        write_trace(trace.to_csv())
 
     lines = []
     for name, m in trace.metrics.items():
@@ -89,6 +90,8 @@ def _cmd_simulate(config: ScenarioConfig, args) -> int:
         report = validation.compliance_from_simulation(config, trace)
         text += validation.emit_compliance(report, args.format)
         code = EXIT_OK if report.overall else EXIT_QOS_FAIL
+    if write_trace:  # only once every check has passed, so a failed run keeps the old file
+        write_trace(trace.to_csv())
     write_out(text)
     return code
 
@@ -104,11 +107,15 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
 
 
 def _cmd_validate(config: ScenarioConfig, args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     var, grid = _parse_sweep(args.sweep)
     try:
         nacks = tuple(int(n) for n in args.nack.split(","))
     except ValueError:
         raise ValueError(f"--nack must be a comma list of integers, got {args.nack!r}") from None
+    if min(nacks) < 1:
+        raise ValueError(f"--nack: cumulative-ACK factor must be >= 1, got {min(nacks)}")
     write_out = _output(args.out)
     rows = validation.run_validation(
         config, var, grid,

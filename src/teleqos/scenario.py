@@ -171,9 +171,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         if not 0 <= self.duration < math.inf:
-            raise ScenarioSemanticError("duration must be finite and >= 0")
+            raise ScenarioSemanticError(f"duration must be finite and >= 0, got {self.duration}")
         if self.warmup is not None and not 0 <= self.warmup <= self.duration:
-            raise ScenarioSemanticError("warmup must lie within [0, duration]")
+            raise ScenarioSemanticError(
+                f"warmup must lie within [0, duration], got warmup {self.warmup} "
+                f"and duration {self.duration}"
+            )
         if self.seed < 0:
             raise ScenarioSemanticError(f"seed must be >= 0, got {self.seed}")
         names = [f.name for f in self.flows]

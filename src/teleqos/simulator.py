@@ -47,9 +47,9 @@ RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
 # the trace record format: its event names and its header
 REC_EVENTS = ("send", "enqueue", "drop", "dequeue", "deliver", "ack", "window-change")
 REC_HEADER = "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
-# lines joined into one string at a time while recording (a block may run
-# a few lines over, since it is checked once per event), so a long run
-# never holds one object per event
+# lines joined into one string at a time while recording and appended to
+# the trace text (a block may run a few lines over, since it is checked
+# once per event), so a long run never holds one object per event
 REC_BLOCK = 16384
 
 
@@ -351,7 +351,7 @@ def _cycle_mean(per_cycle: list[dict], flow: str) -> float:
 class Trace:
     """Simulation output: metrics, cycle data and (with record=True) the raw
     trace as one CSV text, header first and one line per event, which run()
-    writes; None without record=True."""
+    grows in place; None without record=True."""
 
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
@@ -513,10 +513,11 @@ def run(sim: Simulator, record: bool = False) -> Trace:
 
     Metrics cover only events past the scenario's effective warmup; the
     raw trace (record=True, one CSV line per event) covers everything and
-    is kept as one text, joined block by block as the run goes. Each line
-    is formatted where its event happens; on the 60 s baseline (821,521
-    lines) recording raises the engine's CPU time from about 0.8 s to
-    about 1.5 s (Python 3.11, 2-vCPU Xeon).
+    is kept as one text, which each joined block extends in place, so the
+    run never holds a second copy of it. Each line is formatted where its
+    event happens; on the 60 s baseline (821,521 lines) recording raises
+    the engine's CPU time from about 0.8 s to about 1.5 s (Python 3.11,
+    2-vCPU Xeon).
     A packet is the one record its source's iterator yields (TCP's in the
     same layout); the heap, queue, link and delivery line pass it on.
     Raises SimulationError if the link idles while packets wait, the queue
@@ -543,7 +544,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         rcv = TcpReceiver(net.n_ack)
         tcp_breakdown = {"tcp-data": tcp.size}
     if record:
-        pieces = [REC_HEADER]  # the header, then one string per full block
+        # the text grows by one joined block at a time; csv must stay a
+        # plain local that nothing else refers to (no closure, no second
+        # name), so that CPython resizes it in place instead of copying it
+        csv = REC_HEADER
         block: list[str] = []
         add_line = block.append
         # each event's "event,flow" label, by flow
@@ -738,7 +742,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         if waiting and queue.in_service is None:
             raise SimulationError(f"link idle at t = {t} ns with {len(waiting)} packets waiting")
         if record and len(block) >= REC_BLOCK:
-            pieces.append("".join(block))
+            csv += "".join(block)
             block.clear()
 
     # census of packets still inside the system, then per-flow conservation
@@ -755,15 +759,12 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 f"+ {inside} in flight"
             )
 
-    csv = None
     if record:
-        pieces.append("".join(block))
-        block.clear()
-        csv = "".join(pieces)
+        csv += "".join(block)
     return Trace(
         metrics=dict(zip(names, metrics)),
         cycles=cycles,
-        csv=csv,
+        csv=csv if record else None,
         queue_min_pw=q_min_pw,
         queue_max_pw=q_max_pw,
         in_flight_end=dict(zip(names, in_flight)),

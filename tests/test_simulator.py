@@ -2,12 +2,17 @@
 machine, plus randomized whole-run invariants (conservation, work
 conservation, capacity, determinism, steady-state structure)."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import teleqos
 from teleqos import (
     CbrAggregate,
     FlowSpec,
@@ -314,11 +319,12 @@ def test_trace_csv_of_an_empty_run_is_the_header(base_scenario):
     assert trace.to_csv() == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
 
 
-def test_recording_holds_about_two_copies_of_the_trace_text(base_scenario, monkeypatch):
-    # the engine joins its lines block by block, so the peak is the pieces
-    # plus the joined text at the final join, not one object per event; the
-    # ratio does not depend on the run's length, so small blocks keep it short
-    monkeypatch.setattr(simulator, "REC_BLOCK", 1024)
+def test_recording_holds_one_copy_of_the_trace_text(base_scenario, monkeypatch):
+    # the engine appends each joined block to one text that grows in place,
+    # so the peak is that text plus one block, not one object per event nor
+    # a second copy at a final join; the ratio does not depend on the run's
+    # length, so small blocks keep it short
+    monkeypatch.setattr(simulator, "REC_BLOCK", 256)
     sim = build_simulator(replace(base_scenario, duration=0.5, warmup=0.1))
     tracemalloc.start()
     try:
@@ -327,7 +333,53 @@ def test_recording_holds_about_two_copies_of_the_trace_text(base_scenario, monke
     finally:
         tracemalloc.stop()
     assert csv.count("\n") > 4 * simulator.REC_BLOCK  # several full blocks and a partial one
-    assert peak < 2.5 * len(csv)
+    assert peak < 1.5 * len(csv)
+
+
+def test_the_trace_text_is_a_plain_local_of_run():
+    # a closure cell would hold a second reference, and every append
+    # would then copy the whole text
+    assert "csv" not in simulator.run.__code__.co_cellvars
+
+
+# A child's ru_maxrss starts from the RSS of the process that spawned it,
+# so the test's own interpreter, large after other tests, would hide the
+# child's peak: a fresh small interpreter spawns `teleqos simulate` and
+# prints its exit code and peak.
+_PEAK_OF_SIMULATE = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "teleqos.cli", "simulate", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _simulate_peak_rss(argv: list[str]) -> int:
+    """Peak resident set of a `teleqos simulate` child, in bytes."""
+    src = str(Path(teleqos.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_OF_SIMULATE, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code in (0, 1), proc.stderr
+    return peak_kb * 1024  # ru_maxrss is in kilobytes on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_simulate_holds_the_trace_about_once_on_its_way_to_the_file(tmp_path):
+    # the text grows in place in the engine and goes to the file a slice
+    # at a time, so --trace costs about one copy of the file, not two
+    config = tmp_path / "scenario.scn"
+    config.write_text(baseline_text())
+    trace_path = tmp_path / "events.csv"
+    argv = ["--config", str(config), "--duration", "20", "--warmup", "5",
+            "--out", str(tmp_path / "report.txt")]
+    without = _simulate_peak_rss(argv)
+    with_trace = _simulate_peak_rss([*argv, "--trace", str(trace_path)])
+    assert with_trace - without < 1.6 * trace_path.stat().st_size
 
 
 def test_trace_csv_needs_record(base_scenario):

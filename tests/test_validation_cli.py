@@ -354,6 +354,22 @@ def test_cli_simulate_keeps_out_when_it_fails_after_its_run(tmp_path, capsys):
     assert out_path.read_text() == "an earlier report\n"
 
 
+def test_cli_simulate_keeps_its_trace_when_it_fails_after_its_run(tmp_path, capsys):
+    # a 1 ms run carries no haptic byte to judge: the run succeeds, the
+    # compliance check after it fails, and neither output is replaced
+    trace_path, out_path = tmp_path / "events.csv", tmp_path / "report.txt"
+    trace_path.write_bytes(b"an earlier trace\n")
+    out_path.write_bytes(b"an earlier report\n")
+    path = write_cfg(tmp_path, baseline_text())
+    argv = ["simulate", "--config", path, "--duration", "0.001", "--warmup", "0",
+            "--trace", str(trace_path), "--out", str(out_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("teleqos: no haptic bytes measured") and err.count("\n") == 1
+    assert trace_path.read_bytes() == b"an earlier trace\n"
+    assert out_path.read_bytes() == b"an earlier report\n"
+
+
 def test_cli_simulate_writes_its_report_to_out(tmp_path, capsys):
     path = write_cfg(tmp_path, baseline_text())
     argv = ["simulate", "--config", path, "--duration", "3", "--warmup", "1"]
@@ -370,7 +386,20 @@ def test_cli_validate_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs
     monkeypatch.setattr(simulator, "run", _no_run)
     path = write_cfg(tmp_path, baseline_text())
     assert main(["validate", "--config", path, "--sweep", "R=3Mbps", "--jobs", jobs]) == 2
-    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"teleqos: --jobs must be >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--duration", "-1"], "duration must be finite and >= 0, got -1.0"),
+    (["--warmup", "-1"], "warmup must lie within [0, duration], got warmup -1.0 and duration 60.0"),
+    (["--duration", "10", "--warmup", "20"],
+     "warmup must lie within [0, duration], got warmup 20.0 and duration 10.0"),
+])
+def test_cli_names_the_values_of_a_bad_run_window(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(simulator, "build_simulator", _no_run)
+    path = write_cfg(tmp_path, baseline_text())
+    assert main(["simulate", "--config", path, *argv]) == 2
+    assert capsys.readouterr().err == f"teleqos: {message}\n"
 
 
 @pytest.mark.parametrize("duration, message", [
