@@ -100,7 +100,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
     if "=" not in spec:
         raise UnitError("sweep must look like VAR=a,b,c with unit-suffixed values")
     var, _, values = spec.partition("=")
-    grid = [units.parse_rate(v.strip()) for v in values.split(",") if v.strip()]
+    grid = [units.RATE.parse(v.strip()) for v in values.split(",") if v.strip()]
     if not grid:
         raise UnitError("sweep grid is empty")
     return var.strip(), grid

@@ -294,7 +294,11 @@ def solve_q_min(net: NetworkParams, cbr: CbrAggregate) -> tuple[float, int]:
     Q(.) is unimodal over a cycle, so the minimum is found by scanning the
     integer slot starts i in [1, ceil(c)]; c1 = argmin - 1, ties broken
     toward the smaller slot index. The scan uses an incremental update of
-    the same closed form evaluated by queue_at_slot.
+    the same closed form evaluated by queue_at_slot. Since q_init >= mid =
+    (B - 2*mu*tau)/2, Q(i) >= mid + S_tcp * sum_{j<i-2} (i-2-j) alpha^j, a
+    floor that only grows with i; the scan stops once the floor reaches the
+    bar a new minimum must pass, a few slots past the minimum instead of
+    all ceil(c), which grows with the buffer.
     """
     a = cbr.alpha(net)
     qi = q_init(net, cbr)
@@ -311,11 +315,15 @@ def solve_q_min(net: NetworkParams, cbr: CbrAggregate) -> tuple[float, int]:
         geom += decay
         decay *= a
         build += geom
-        q = qi * decay + mid * (1.0 - decay) + net.s_tcp * (build - geom)
+        rise = net.s_tcp * (build - geom)
+        q = qi * decay + mid * (1.0 - decay) + rise
         # ties (within float noise) go to the smaller slot index
-        if q < best - 1e-9 * max(1.0, abs(best)):
+        bar = best - 1e-9 * max(1.0, abs(best))
+        if q < bar:
             best = q
             best_i = i
+        elif mid + rise >= bar:  # the floor: no later slot gets under the bar
+            break
     return best, best_i - 1
 
 

@@ -205,18 +205,6 @@ class ScenarioConfig:
             return self.warmup
         return min(max(0.1 * self.duration, 20.0), 0.5 * self.duration)
 
-    def with_flow_rate(self, name: str, rate: float) -> "ScenarioConfig":
-        """Copy with one fixed-rate flow's rate replaced (packet kept, gap rescaled)."""
-        flows = []
-        for f in self.flows:
-            if f.name == name:
-                if f.kind not in ("cbr", "telehaptic"):
-                    raise ScenarioSemanticError(f"flow {name!r} has no fixed rate to sweep")
-                flows.append(replace(f, rate=rate, gap=f.packet / rate))
-            else:
-                flows.append(f)
-        return replace(self, flows=tuple(flows))
-
 
 # --------------------------------------------------------------------------
 # the format: one table per section, key -> codec
@@ -239,11 +227,8 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-_RATE = _Codec(units.parse_rate, units.format_rate)
-_TIME = _Codec(units.parse_time, units.format_time)
-_SIZE = _Codec(units.parse_size, units.format_size)
-_FREQ = _Codec(units.parse_freq, units.format_freq)
-_FRACTION = _Codec(units.parse_fraction, units.format_fraction)
+_RATE, _TIME, _SIZE, _FREQ, _FRACTION = (_Codec(unit.parse, unit.format) for unit in (
+    units.RATE, units.TIME, units.SIZE, units.FREQ, units.FRACTION))
 _FLOAT = _Codec(float, repr)
 _INT = _Codec(_parse_int, str)
 _STR = _Codec(str, str)

@@ -69,6 +69,16 @@ def _ns(seconds: float) -> int:
     return int(round(seconds * 1e9))
 
 
+def _check_clock(what: str, seconds: float) -> None:
+    """Reject a time the engine's integer clock cannot hold: below 2^63 ns,
+    as the int64 schedules of adaptive flows need, like packet sizes."""
+    if not seconds * 1e9 < 2**63:
+        raise ScenarioSemanticError(
+            f"{what} = {seconds:g} s exceeds the nanosecond clock's limit "
+            f"of 2^63 ns (about 292 years)"
+        )
+
+
 # --------------------------------------------------------------------------
 # queue
 
@@ -437,7 +447,13 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple[list
     keep = times < duration
     t_ns = np.rint(times[keep] * 1e9).astype(np.int64)
     header, video = stream.header_bytes, stream.video_bytes[keep]
-    sizes = np.rint(header + video).astype(np.int64)
+    sizes = np.rint(header + video)
+    if sizes.size and not sizes.max() < 2**63:
+        raise ScenarioSemanticError(
+            f"flow {flow.name!r}: video_rate {flow.video_rate:g} B/s and header {header:g} B "
+            f"make a {sizes.max():g} B packet; packet sizes must stay below 2^63 B"
+        )
+    sizes = sizes.astype(np.int64)
     # packets of one make-up share one breakdown dict, as the packets of a
     # cbr source do; the key is the video bytes, negated when significant
     makeups, which = np.unique(
@@ -454,26 +470,42 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     scenario's duration.
 
     Raises ScenarioSemanticError with a field-level message; in particular,
-    when a TCP source is present, n_ack must be 1 or 2 and the aggregate
-    CBR-like rate (including the realized mean rate of adaptive flows) must
-    stay below the link capacity.
+    every time the engine converts to its nanosecond clock must stay below
+    2^63 ns, the link must hold each packet and each fixed-rate gap must
+    last at least 1 ns, and when a TCP source is present, n_ack must be 1
+    or 2 and the aggregate CBR-like rate (including the realized mean rate
+    of adaptive flows) must stay below the link capacity.
     """
+    net = config.net
+    # before anything is synthesized; the warmup lies within the duration,
+    # and run()'s loss-cycle merge gap, 2 tau + buf/mu, bounds each delay
+    _check_clock("duration", config.duration)
+    _check_clock("tau", net.tau)
+    _check_clock("2 tau + buf/mu", 2 * net.tau + net.buf / net.mu)
     sources: list[_Source] = []
     adaptive_mean = 0.0
     # the link holds every packet for at least one clock tick (the engine's
     # service time), so completions, deliveries and ACKs strictly increase
-    ns_per_byte = 1e9 / config.net.mu
+    ns_per_byte = 1e9 / net.mu
     for flow in config.flows:
+        _check_clock(f"flow {flow.name!r}: phase", flow.phase)
         if flow.kind == "tcp":
-            src = _Source("tcp", size=int(round(config.net.s_tcp)))
+            src = _Source("tcp", size=int(round(net.s_tcp)))
             sizes = [src.size]
         elif flow.kind in ("cbr", "telehaptic"):
+            _check_clock(f"flow {flow.name!r}: gap", flow.gap)
             src = _Source(
                 flow.kind,
                 size=int(round(flow.packet)),
                 gap_ns=_ns(flow.gap),
                 phase_ns=_ns(flow.phase),
             )
+            # packets one instant apart would never let the clock advance
+            if src.gap_ns < 1:
+                raise ScenarioSemanticError(
+                    f"flow {flow.name!r}: gap {flow.gap:g} s rounds to 0 ns; "
+                    f"the nanosecond clock needs at least 1 ns between packets"
+                )
             sizes = [src.size]
         else:  # adaptive
             sched = _adaptive_schedule(flow, max(config.duration, 1e-3), config.seed)
@@ -482,6 +514,10 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
             if config.duration > 0 and sizes:
                 adaptive_mean += sum(sizes) / config.duration
         sources.append(src)
+        if sizes:
+            largest = max(sizes)
+            _check_clock(f"flow {flow.name!r}: the link time of a {largest} B packet",
+                         largest / net.mu)
         if sizes and int(min(sizes) * ns_per_byte + 0.5) < 1:
             raise ScenarioSemanticError(
                 f"flow {flow.name!r}: a {min(sizes)} B packet takes "
@@ -489,17 +525,17 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
             )
 
     if any(src.kind == "tcp" for src in sources):
-        if config.net.n_ack > 2:
+        if net.n_ack > 2:
             raise ScenarioSemanticError(
-                f"n_ack = {config.net.n_ack} with a TCP source: the receiver has no "
+                f"n_ack = {net.n_ack} with a TCP source: the receiver has no "
                 f"delayed-ACK timer, and RFC 5681 section 4.2 asks for an ACK at least "
                 f"every second full-sized segment"
             )
         total = config.fixed_cbr_rate + adaptive_mean
-        if total >= config.net.mu:
+        if total >= net.mu:
             raise ScenarioSemanticError(
                 f"flows: aggregate CBR rate {total:.6g} B/s (incl. adaptive mean) "
-                f">= link capacity {config.net.mu:.6g} B/s with a TCP source present"
+                f">= link capacity {net.mu:.6g} B/s with a TCP source present"
             )
     return Simulator(config, tuple(sources))
 

@@ -110,13 +110,12 @@ def _sweep_config(config: ScenarioConfig, var: str, value: float) -> ScenarioCon
             raise ScenarioSemanticError(
                 f"sweep point R={value:.6g} B/s is below the telehaptic rate {h.rate_h:.6g} B/s"
             )
-        cross = [f for f in config.flows if f.kind == "cbr"]
-        if not cross:
+        if not any(f.kind == "cbr" for f in config.flows):
             raise ScenarioSemanticError("R sweep needs a CBR cross-traffic flow to adjust")
-        if cross_rate == 0:
-            flows = tuple(f for f in config.flows if f.kind != "cbr")
-            return replace(config, flows=flows)
-        return config.with_flow_rate(cross[0].name, cross_rate)
+        # the one cross flow carries the rest of R, its gap packet/rate; at 0 it goes
+        flows = tuple(replace(f, rate=cross_rate, gap=None) if f.kind == "cbr" else f
+                      for f in config.flows if f.kind != "cbr" or cross_rate > 0)
+        return replace(config, flows=flows)
     raise ScenarioSemanticError(f"unknown sweep variable {var!r} (expected R or mu)")
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
+from teleqos.model import q_init, slots_per_cycle
 from teleqos.sampling import CHUNK_TICKS, HAPTIC_TICK, ZERO_REF_EPS
 from teleqos.simulator import (
     ACK_SIZE,
@@ -60,6 +62,25 @@ def queue_by_slot_recursion(
         rtt = 2.0 * tau + q / mu
         q = q + rtt * rate + (w_min + k - 1) * s_tcp - mu * rtt
     return q
+
+
+def q_min_by_full_scan(net, cbr) -> tuple[float, int]:
+    """(Q_min, c1) by the incremental scan of every slot start i in
+    [1, ceil(c)], with ties (within float noise) to the smaller index:
+    model.solve_q_min must return exactly this, without the whole scan."""
+    a = cbr.alpha(net)
+    qi = q_init(net, cbr)
+    mid = (net.buf - net.bdp) / 2.0
+    best, best_i = qi, 1
+    decay, geom, build = 1.0, 0.0, 0.0
+    for i in range(2, math.ceil(slots_per_cycle(net, cbr)) + 1):
+        geom += decay
+        decay *= a
+        build += geom
+        q = qi * decay + mid * (1.0 - decay) + net.s_tcp * (build - geom)
+        if q < best - 1e-9 * max(1.0, abs(best)):
+            best, best_i = q, i
+    return best, best_i - 1
 
 
 # The adaptive-sampling loops as they ran before the scalar kernels in

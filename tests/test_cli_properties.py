@@ -24,7 +24,7 @@ ADAPTIVE = PLAIN.replace("rate = 1.904 Mbps", "rate = 1 Mbps") + (
 )
 VALUE = re.compile(r"^(\w+ = )(-?[\d.]+)(.*)$", re.MULTILINE)
 # numeric texts float() reads that no run window or scenario value may take
-BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "1e400", "0"]
+BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "1e400", "0", "1e300"]
 # a run window of at most 1 s, or a number that must be rejected
 WINDOW = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(BAD_NUMBERS))
 

@@ -37,20 +37,13 @@ non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 # numbers float() accepts that are, or overflow to, nan or +-inf
 non_finite_text = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"])
 
-CODECS = (
-    (units.parse_rate, units.format_rate, units.RATE_UNITS),
-    (units.parse_time, units.format_time, units.TIME_UNITS),
-    (units.parse_size, units.format_size, units.SIZE_UNITS),
-    (units.parse_freq, units.format_freq, units.FREQ_UNITS),
-    (units.parse_fraction, units.format_fraction, units.FRACTION_UNITS),
-)
-SUFFIXED = [(parse, suffix) for parse, _, table in CODECS for suffix in table]
+CODECS = (units.RATE, units.TIME, units.SIZE, units.FREQ, units.FRACTION)
+SUFFIXED = [(unit.parse, suffix) for unit in CODECS for suffix in unit.table]
 
 
 @given(finite, st.sampled_from(CODECS))
 def test_render_parse_roundtrip(value, codec):
-    parse, render, _ = codec
-    assert parse(render(value)) == value
+    assert codec.parse(codec.format(value)) == value
 
 
 @given(non_finite_text, st.sampled_from(SUFFIXED), st.sampled_from([" ", ""]))

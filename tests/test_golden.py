@@ -65,8 +65,10 @@ def adaptive_contact_burst():
 
 def heavy_load_n_ack_2():
     # R/mu = 3.6 Mbps / 6 Mbps = 0.6, just inside the single-loss regime
-    cfg = baseline().with_flow_rate("cross", 3.6 * MBPS - 1.096 * MBPS)
-    return replace(cfg, net=replace(cfg.net, n_ack=2))
+    cfg = baseline()
+    flows = tuple(replace(f, rate=3.6 * MBPS - 1.096 * MBPS, gap=None) if f.name == "cross" else f
+                  for f in cfg.flows)  # gap None: packet/rate
+    return replace(cfg, net=replace(cfg.net, n_ack=2), flows=flows)
 
 
 def five_seconds(name):

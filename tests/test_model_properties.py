@@ -7,10 +7,11 @@ validity region (B > 2*mu*tau via construction, alpha < 1).
 
 import math
 import random
+import signal
 
 import pytest
 
-from oracles import mtcp_by_timeline, queue_by_slot_recursion
+from oracles import mtcp_by_timeline, q_min_by_full_scan, queue_by_slot_recursion
 from teleqos import (
     CbrAggregate,
     HapticFlowSpec,
@@ -91,6 +92,49 @@ def test_closed_form_matches_slot_recursion():
             net.mu, net.tau, net.buf, net.s_tcp, cbr.rate_total, wm, qi, i
         )
         assert queue_at_slot(net, cbr, i) == pytest.approx(expect, rel=1e-9, abs=1e-6)
+
+
+def test_q_min_equals_the_full_slot_scan():
+    """solve_q_min stops a few slots past the minimum; its (Q_min, c1) stay
+    bit for bit those of the scan over every slot, on short and long
+    cycles, on both sides of B = 2*mu*tau, at loads up to 0.99, and on the
+    acceptance R grid with n_ack 1 and 2."""
+    rng = random.Random(808)
+    cases = [random_net_cbr(rng) for _ in range(600)]
+    for _ in range(600):
+        # up to 10^4 slots; a load near 1 puts the minimum late in the cycle
+        alpha = rng.choice((0.0, rng.uniform(0.0, 0.99), 1.0 - 10 ** rng.uniform(-5.0, -1.0)))
+        s_tcp = rng.uniform(40.0, 1500.0)
+        total = 2.0 * s_tcp * 10 ** rng.uniform(0.0, 4.0) / (1.0 - alpha)  # B + 2*mu*tau
+        bdp_share = rng.uniform(0.0, 0.95)  # above 0.5 the queue empties
+        mu = 10 ** rng.uniform(4.0, 9.0)
+        net = NetworkParams(mu=mu, tau=bdp_share * total / (2.0 * mu),
+                            buf=(1.0 - bdp_share) * total, s_tcp=s_tcp)
+        cases.append((net, CbrAggregate(alpha * mu)))
+    for n_ack in (1, 2):
+        net = NetworkParams(mu=6 * MBPS, tau=8e-3, buf=14000.0, s_tcp=578.0, n_ack=n_ack)
+        cases += [(net, CbrAggregate(r * MBPS)) for r in (1.096, 2, 3, 4, 5, 5.5)]
+    for net, cbr in cases:
+        assert solve_q_min(net, cbr) == q_min_by_full_scan(net, cbr), (net, cbr)
+    assert len(cases) >= 1000
+
+
+def test_delay_bounds_answer_at_any_buffer():
+    # the full scan visits ceil(c) slots, which grow with B: about 4*10^8
+    # at B = 10^12 B and 4*10^296 at B = 10^300 B
+    def too_slow(signum, frame):
+        raise TimeoutError("delay_bounds took over a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for buf in (1e12, 1e300):
+            net = NetworkParams(mu=6 * MBPS, tau=8e-3, buf=buf, s_tcp=578.0)
+            d_min, d_max = delay_bounds(net, CbrAggregate(3 * MBPS))
+            assert net.tau < d_min < d_max == net.tau + buf / net.mu
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_q_max_is_capacity():

@@ -283,6 +283,18 @@ def test_build_rejects_packet_shorter_than_a_clock_tick(base_net, mu, packet):
         build_simulator(cfg)
 
 
+def test_build_rejects_a_gap_that_rounds_to_0_ns(base_net):
+    # packets one instant apart would hold the clock still, and without a
+    # TCP flow no overload check bounds the rate: the run would never end
+    flows = (FlowSpec(name="fast", kind="cbr", rate=1e12, packet=150.0),)
+    cfg = ScenarioConfig(net=base_net, flows=flows, duration=0.1, warmup=0.0)
+    with pytest.raises(ScenarioSemanticError, match=r"^flow 'fast': gap 1\.5e-10 s rounds to 0 ns"):
+        build_simulator(cfg)
+    # a 1 ns gap is the shortest the clock can order
+    one_ns = (FlowSpec(name="fast", kind="cbr", rate=150e9, packet=150.0),)
+    assert build_simulator(replace(cfg, flows=one_ns)).sources[0].gap_ns == 1
+
+
 def test_adaptive_schedule_sets_the_tick_check_and_the_mean_rate():
     vh = FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=50e3,
                   signal=SignalSpec(kind="contact-burst", seed=3))

@@ -55,7 +55,9 @@ def test_run_validation_nack_sensitivity(base_cfg):
 def test_mu_sweep(base_cfg):
     # heavy cross traffic (aggregate 7.996 Mbps) with the capacity as control
     cfg = replace(base_cfg, net=replace(base_cfg.net, mu=9 * MBPS, tau=1e-3))
-    cfg = cfg.with_flow_rate("cross", 6.9 * MBPS)
+    flows = tuple(replace(f, rate=6.9 * MBPS, gap=None) if f.name == "cross" else f
+                  for f in cfg.flows)  # gap None: packet/rate
+    cfg = replace(cfg, flows=flows)
     rows = run_validation(cfg, "mu", [9 * MBPS, 12 * MBPS], nack_grid=(2,), simulate=False)
     assert [round(r.jit_a * 1e3, 2) for r in rows] == [1.46, 1.62]
 
@@ -399,6 +401,40 @@ def test_cli_names_the_values_of_a_bad_run_window(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(simulator, "build_simulator", _no_run)
     path = write_cfg(tmp_path, baseline_text())
     assert main(["simulate", "--config", path, *argv]) == 2
+    assert capsys.readouterr().err == f"teleqos: {message}\n"
+
+
+SHIPPED = baseline_text()
+NO_TCP = SHIPPED.replace("[flow.bulk]\nkind = tcp\n", "")
+CLOCK = "exceeds the nanosecond clock's limit of 2^63 ns (about 292 years)"
+
+
+@pytest.mark.parametrize("command, text, argv, message", [
+    ("simulate", SHIPPED, ["--duration", "1e300"], f"duration = 1e+300 s {CLOCK}"),
+    ("validate", SHIPPED, ["--duration", "1e300", "--sweep", "R=3Mbps"],
+     f"duration = 1e+300 s {CLOCK}"),
+    ("simulate", SHIPPED.replace("tau = 8 ms", "tau = 1e300 s"), [], f"tau = 1e+300 s {CLOCK}"),
+    ("simulate", SHIPPED.replace("gap = 1 ms\n", "gap = 1 ms\nphase = 1e300 s\n"), [],
+     f"flow 'media': phase = 1e+300 s {CLOCK}"),
+    ("simulate", SHIPPED.replace("rate = 1.096 Mbps\npacket = 137 B\ngap = 1 ms",
+                                 "rate = 1e-300 Bps\npacket = 1 B"), [],
+     f"flow 'media': gap = 1e+300 s {CLOCK}"),
+    ("simulate", NO_TCP.replace("mu = 6 Mbps", "mu = 1e-300 Bps"), [],
+     f"2 tau + buf/mu = 1.4e+304 s {CLOCK}"),
+    ("simulate", NO_TCP.replace("rate = 1.904 Mbps\npacket = 150 B", "rate = 1e20 Bps\npacket = 1e20 B"),
+     [], f"flow 'cross': the link time of a 100000000000000000000 B packet = 1.33333e+14 s {CLOCK}"),
+    ("simulate", SHIPPED.replace("rate = 1.904 Mbps", "rate = 1 Mbps")
+     + ADAPTIVE_FLOW.replace("400 kbps", "1e300 kbps"), ["--duration", "1", "--warmup", "0.2"],
+     "flow 'vh': video_rate 1.25e+302 B/s and header 87 B make a 1.875e+300 B packet; "
+     "packet sizes must stay below 2^63 B"),
+], ids=["simulate-duration", "validate-duration", "tau", "phase", "gap", "mu", "link-time",
+        "adaptive-size"])
+def test_cli_names_a_value_beyond_the_engine_integers(tmp_path, capsys, command, text, argv,
+                                                      message):
+    # each value is a finite float the engine's integer clock or int64 packet
+    # sizes cannot hold; building the simulator rejects it before any run
+    path = write_cfg(tmp_path, text)
+    assert main([command, "--config", path, *argv]) == 2
     assert capsys.readouterr().err == f"teleqos: {message}\n"
 
 
