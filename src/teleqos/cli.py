@@ -141,8 +141,8 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
     write_out = _output(args.out)
     sim = simulator.build_simulator(config)
     src = sim.sources[config.flows.index(flow)]
-    t_ns, sizes, _ = src.schedule
-    pairs = np.column_stack((np.array(t_ns) / 1e9, sizes))
+    t_ns, sizes = src.schedule[:2]
+    pairs = np.column_stack((t_ns / 1e9, sizes))
     series = sampling.instantaneous_rate(pairs, window=args.window)
     if args.format == "csv":
         lines = ["time_s,rate_Bps"]

@@ -9,11 +9,14 @@ is shipped in chunk packets of at most 15 ms worth. Synthetic signal
 generators stand in for device recordings.
 
 Samples are finite and have 1 to 3 axes; anything else raises
-InvalidSignalSpec at the boundary. The per-sample recursions (the
-filtered-noise lowpass and the deadband) run as scalar loops over Python
-floats that keep the reference arithmetic order term by term, so their
-results are bit-identical to a plain row-by-row evaluation. The
-multiplexer works on whole arrays: its chunk sizes come from one table of
+InvalidSignalSpec at the boundary. Every kernel gives results bit-identical
+to a plain row-by-row evaluation. The filtered-noise lowpass is a scalar
+loop over Python floats: only scipy.signal.lfilter would reproduce its
+recursion bit for bit, and scipy is not a dependency. The deadband works
+on whole arrays: it tests every sample against each of the next
+DEADBAND_OFFSETS samples with elementwise IEEE operations in the row
+loop's order, then follows the chain of references from the first sample
+through that table. The multiplexer's chunk sizes come from one table of
 repeated additions, so they too equal a tick-by-tick accumulator's.
 """
 
@@ -29,6 +32,7 @@ from .scenario import InvalidSignalSpec, SignalSpec
 HAPTIC_TICK = 1e-3  # 1 kHz sampling grid
 CHUNK_TICKS = 15    # max video backlog per chunk packet, in ticks
 ZERO_REF_EPS = 1e-6     # significance threshold against a zero reference
+DEADBAND_OFFSETS = 16   # the deadband tests every sample against this many next ones at once
 
 
 class InvalidDeadband(ValueError):
@@ -146,32 +150,68 @@ def deadband_filter(samples: np.ndarray, k: float) -> np.ndarray:
         raise InvalidSignalSpec(f"samples must have shape (N,) or (N, 1..3), got {pts.shape}")
     if not np.isfinite(pts).all():
         raise InvalidSignalSpec("samples must be finite")
-    flags = np.zeros(len(pts), dtype=bool)
-    if len(pts) == 0:
+    n = len(pts)
+    flags = np.zeros(n, dtype=bool)
+    if n == 0:
         return flags
-    cols = pts.T.tolist()
-    cols += [[0.0] * len(pts)] * (3 - len(cols))
-    rows = zip(*cols)
+    # DEADBAND_OFFSETS NaN samples past the end, which no test counts as
+    # significant, so that every reference has as many followers
+    pad = np.full(DEADBAND_OFFSETS, np.nan)
+    cols = [np.concatenate((pts[:, axis], pad)) for axis in range(pts.shape[1])]
     k_sq = k * k
     eps_sq = ZERO_REF_EPS * ZERO_REF_EPS
-    hits = [0]
-    ra, rb, rc = next(rows)
-    ref_sq = ra * ra + rb * rb + rc * rc
-    limit = k_sq * ref_sq
-    for i, (a, b, c) in enumerate(rows, 1):
-        if ref_sq <= eps_sq:
-            if not a * a + b * b + c * c > eps_sq:
-                continue
-        else:
-            da, db, dc = a - ra, b - rb, c - rc
-            if not da * da + db * db + dc * dc >= limit:
-                continue
-        hits.append(i)
-        ra, rb, rc = a, b, c
-        ref_sq = a * a + b * b + c * c
-        limit = k_sq * ref_sq
+    # a square may overflow to inf, as a Python float's does
+    with np.errstate(over="ignore"):
+        sq = _sum_sq(cols)
+        limit = k_sq * sq
+        zero = sq <= eps_sq
+        any_zero = zero.any()
+
+        def significant(ref, rows):
+            """Whether each sample in rows is significant against its reference."""
+            hit = _sum_sq([col[rows] - col[ref] for col in cols]) >= limit[ref]
+            if any_zero and zero[ref].any():  # a zero reference takes the absolute test
+                hit = np.where(zero[ref], sq[rows] > eps_sq, hit)
+            return hit
+
+        # the next significant sample after each reference, if it lies at
+        # most DEADBAND_OFFSETS samples on, else n (further on, or none)
+        nxt = np.full(n, n)
+        refs = np.arange(n)
+        for d in range(1, DEADBAND_OFFSETS + 1):
+            hit = significant(refs, refs + d)
+            ends = refs[hit]
+            nxt[ends] = ends + d
+            refs = refs[~hit]
+
+        def run_end(i):
+            """The next significant sample after reference i, searched in
+            blocks that double in length, or n."""
+            lo, size = i + DEADBAND_OFFSETS + 1, DEADBAND_OFFSETS
+            while lo < n:
+                block = significant(i, slice(lo, lo + size))
+                if block.any():
+                    return lo + int(block.argmax())
+                lo, size = lo + size, 2 * size
+            return n
+
+        # follow the chain of references from the first sample
+        nxt = nxt.tolist()
+        hits = []
+        i = 0
+        while i < n:
+            hits.append(i)
+            i = nxt[i] if nxt[i] < n else run_end(i)
     flags[hits] = True
     return flags
+
+
+def _sum_sq(cols: list[np.ndarray]) -> np.ndarray:
+    """Elementwise squared norm, summed axis by axis from the first."""
+    total = cols[0] * cols[0]
+    for col in cols[1:]:
+        total = total + col * col
+    return total
 
 
 def vh_mux(flags: np.ndarray, video_rate: float, header: float) -> MuxStream:
@@ -227,19 +267,24 @@ def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) 
     if not 0 < window < math.inf:
         raise InvalidSignalSpec(f"window must be finite and positive, got {window}")
     pairs = np.array(packets, dtype=float)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]  # by time, then size
+    # sort by time, then size, unless already so: sorting sorted keys changes nothing
+    dt = np.diff(pairs[:, 0])
+    if not ((dt > 0) | ((dt == 0) & (np.diff(pairs[:, 1]) >= 0))).all():
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     times = pairs[:, 0]
     sizes = pairs[:, 1]
     cum = np.concatenate([[0.0], np.cumsum(sizes)])
 
     t0, t1 = times[0], times[-1]
     grid = np.arange(t0 + window, t1 + HAPTIC_TICK, HAPTIC_TICK)
-    if len(grid) == 0:
-        grid = np.array([t1 + window])
-    # bytes of packets with time in [g - window, g)
-    hi = np.searchsorted(times, grid, side="left")
-    lo = np.searchsorted(times, grid - window, side="left")
-    rates = (cum[hi] - cum[lo]) / window
+    if len(grid):
+        # bytes of packets with time in [g - window, g)
+        hi = np.searchsorted(times, grid, side="left")
+        lo = np.searchsorted(times, grid - window, side="left")
+        rates = (cum[hi] - cum[lo]) / window
+    else:  # the stream is shorter than the window, which holds it all from t0
+        grid = np.array([t0 + window])
+        rates = cum[-1:] / window
 
     span = t1 - t0 + HAPTIC_TICK
     mean = float(cum[-1] / span)

@@ -410,15 +410,24 @@ class _Source:
     size: int = 0
     gap_ns: int = 0
     phase_ns: int = 0
-    schedule: tuple | None = None  # adaptive: (times_ns, sizes, breakdowns) before the phase
+    schedule: tuple | None = None  # adaptive: _adaptive_schedule's columns, before the phase
 
     def arrivals(self, flow: int) -> Iterator[tuple[int, int, int, int, dict]]:
         """A fresh time-ordered iterator of an open-loop source's packets as
         flow `flow`: the (t_ns, flow, seq, size, breakdown) records run()
         carries to delivery, seq from 0; breakdown maps media to bytes."""
         if self.schedule is not None:
-            times, sizes, breakdowns = self.schedule
-            return zip(map(self.phase_ns.__add__, times), repeat(flow), count(), sizes, breakdowns)
+            # only an adaptive source has a schedule, and numpy with it
+            import numpy as np
+
+            times, sizes, keys, header = self.schedule
+            # packets of one make-up share one breakdown dict, as the packets
+            # of a cbr source do
+            makeups, which = np.unique(keys, return_inverse=True)
+            shared = [{"haptic": header, "video": -v} if v < 0 else {"header": header, "video": v}
+                      for v in makeups.tolist()]
+            return zip(map(self.phase_ns.__add__, times.tolist()), repeat(flow), count(),
+                       sizes.tolist(), map(shared.__getitem__, which.tolist()))
         breakdown = {"haptic" if self.kind == "telehaptic" else "cbr-cross": self.size}
         return zip(count(self.phase_ns, self.gap_ns), repeat(flow), count(),
                    repeat(self.size), repeat(breakdown))
@@ -433,7 +442,10 @@ class Simulator:
     sources: tuple[_Source, ...]
 
 
-def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple[list, list, list]:
+def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
+    """The adaptive flow's packets within the duration as int64 columns of
+    emission times (ns) and sizes (B), the make-up key of each packet (its
+    video bytes, negated when it carries a haptic sample) and the header."""
     # numpy and sampling load only for a scenario that synthesizes a signal
     import numpy as np
 
@@ -448,21 +460,21 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple[list
     t_ns = np.rint(times[keep] * 1e9).astype(np.int64)
     header, video = stream.header_bytes, stream.video_bytes[keep]
     sizes = np.rint(header + video)
-    if sizes.size and not sizes.max() < 2**63:
+    if not sizes.max() < 2**63:
         raise ScenarioSemanticError(
             f"flow {flow.name!r}: video_rate {flow.video_rate:g} B/s and header {header:g} B "
             f"make a {sizes.max():g} B packet; packet sizes must stay below 2^63 B"
         )
     sizes = sizes.astype(np.int64)
-    # packets of one make-up share one breakdown dict, as the packets of a
-    # cbr source do; the key is the video bytes, negated when significant
-    makeups, which = np.unique(
-        np.where(stream.significant[keep], -video, video), return_inverse=True)
-    breakdowns = np.array([
-        {"haptic": header, "video": -v} if v < 0 else {"header": header, "video": v}
-        for v in makeups.tolist()
-    ])
-    return t_ns.tolist(), sizes.tolist(), breakdowns[which].tolist()
+    # sizes below 2^63 first wrap an int64 running total to a negative when
+    # it reaches 2^63
+    if np.cumsum(sizes).min() < 0:
+        raise ScenarioSemanticError(
+            f"flow {flow.name!r}: video_rate {flow.video_rate:g} B/s and header {header:g} B "
+            f"make {sizes.sum(dtype=float):g} B in {duration:g} s; "
+            f"a flow's total bytes must stay below 2^63 B"
+        )
+    return t_ns, sizes, np.where(stream.significant[keep], -video, video), header
 
 
 def build_simulator(config: ScenarioConfig) -> Simulator:
@@ -491,7 +503,7 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
         _check_clock(f"flow {flow.name!r}: phase", flow.phase)
         if flow.kind == "tcp":
             src = _Source("tcp", size=int(round(net.s_tcp)))
-            sizes = [src.size]
+            smallest = largest = src.size
         elif flow.kind in ("cbr", "telehaptic"):
             _check_clock(f"flow {flow.name!r}: gap", flow.gap)
             src = _Source(
@@ -506,21 +518,20 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
                     f"flow {flow.name!r}: gap {flow.gap:g} s rounds to 0 ns; "
                     f"the nanosecond clock needs at least 1 ns between packets"
                 )
-            sizes = [src.size]
-        else:  # adaptive
+            smallest = largest = src.size
+        else:  # adaptive; the first sample is always sent, so sizes is never empty
             sched = _adaptive_schedule(flow, max(config.duration, 1e-3), config.seed)
             src = _Source("adaptive", phase_ns=_ns(flow.phase), schedule=sched)
             sizes = sched[1]
-            if config.duration > 0 and sizes:
-                adaptive_mean += sum(sizes) / config.duration
+            smallest, largest = int(sizes.min()), int(sizes.max())
+            if config.duration > 0:
+                adaptive_mean += int(sizes.sum()) / config.duration
         sources.append(src)
-        if sizes:
-            largest = max(sizes)
-            _check_clock(f"flow {flow.name!r}: the link time of a {largest} B packet",
-                         largest / net.mu)
-        if sizes and int(min(sizes) * ns_per_byte + 0.5) < 1:
+        _check_clock(f"flow {flow.name!r}: the link time of a {largest} B packet",
+                     largest / net.mu)
+        if int(smallest * ns_per_byte + 0.5) < 1:
             raise ScenarioSemanticError(
-                f"flow {flow.name!r}: a {min(sizes)} B packet takes "
+                f"flow {flow.name!r}: a {smallest} B packet takes "
                 f"under 1 ns on the link; the nanosecond clock needs at least 1 ns"
             )
 

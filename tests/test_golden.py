@@ -129,7 +129,8 @@ def test_recording_does_not_change_results(name):
 
 # sha256 of each signal kind's 20 s adaptive stream (seed 1, deadband 0.1,
 # 400 kbps video): the synthesized samples, their significance flags and
-# the simulator's schedule, so a single flipped flag or packet shows
+# the packets the simulator's source yields, so a single flipped flag or
+# packet shows
 GOLDEN_STREAMS = {
     "contact-burst": "85cfe65c9ded1f8194f3d8f55a33dc473cdc8bcac14e0357f0bc0309890e6ed7",
     "filtered-noise": "39ee44b8b3b50cdf51eed27b72abc683533cd3cee340576397abcd82ed9f0136",
@@ -144,7 +145,7 @@ def test_golden_adaptive_stream_digest(kind):
     h.update(samples.tobytes())
     h.update(deadband_filter(samples, 0.1).tobytes())
     sim = build_simulator(parse_scenario(ADAPTIVE_ONLY.format(kind=kind)))
-    for t, size, breakdown in zip(*sim.sources[0].schedule):
+    for t, _, _, size, breakdown in sim.sources[0].arrivals(0):
         h.update(repr((t, size, sorted(breakdown.items()))).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_STREAMS[kind]
 

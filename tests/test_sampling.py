@@ -17,6 +17,7 @@ from teleqos import (
 )
 from teleqos.sampling import (
     CHUNK_TICKS,
+    DEADBAND_OFFSETS,
     HAPTIC_TICK,
     EmptyStream,
     InvalidDeadband,
@@ -261,6 +262,8 @@ HAND_MADE = {
     # z, y, x (significant)
     "axis order, distance": np.array([[2.0, 2.0**-25, 0.0], [3.0, 2.0**-25 + 1e-8, 1e-8]]),
     "empty": np.zeros((0, 3)),
+    # squares and distances that overflow to inf, as Python floats' do
+    "overflow": np.array([[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0], [1e300, 1e300, 0.0], [1e300, 1e300, 1.0]]),
 }
 
 
@@ -273,6 +276,37 @@ def test_deadband_hand_made_cases_match_reference(name):
         for video_rate, header in MUX_CASES:
             stream = vh_mux(flags, video_rate, header)
             assert _fields(stream) == mux_by_ticks(flags, video_rate, header)
+
+
+# axis values around the deadband's edges: zero and near-zero magnitudes
+# about the absolute epsilon, values a fraction k apart, and any others
+AXIS_VALUES = st.sampled_from([0.0, 1e-7, -1e-7, 1e-6, 0.5, -0.5, 1.0, 1.05, 1.5, -3.0]) | st.floats(
+    -1e3, 1e3, allow_nan=False)
+
+
+@given(st.data(), st.integers(0, 3), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_deadband_matches_the_row_loop_on_random_runs(data, axes, k):
+    # axes 0 is a 1-D signal; a row repeated past DEADBAND_OFFSETS samples
+    # leaves its reference open, so that the chain searches further on
+    width = max(axes, 1)
+    runs = data.draw(st.lists(
+        st.tuples(st.lists(AXIS_VALUES, min_size=width, max_size=width),
+                  st.integers(1, 3 * DEADBAND_OFFSETS)),
+        max_size=12))
+    samples = np.array([row for row, repeat in runs for _ in range(repeat)]).reshape(-1, width)
+    if axes == 0:
+        samples = samples[:, 0]
+    assert deadband_filter(samples, k).tolist() == deadband_by_rows(samples, k).tolist()
+
+
+def test_deadband_follows_a_reference_open_across_many_blocks():
+    # a zero reference and a non-zero one, each held for thousands of samples
+    samples = np.zeros((5000, 3))
+    samples[3000:4990] = [1.0, 2.0, 0.5]
+    samples[4990:] = [1.0, 2.0, 0.6]
+    flags = deadband_filter(samples, 0.1)
+    assert np.flatnonzero(flags).tolist() == [0, 3000]
+    assert flags.tolist() == deadband_by_rows(samples, 0.1).tolist()
 
 
 # video rates and the flush count each reaches, the number of quiet ticks
@@ -341,6 +375,30 @@ def test_instantaneous_rate_takes_an_array_of_pairs_like_a_list():
     assert np.array_equal(from_array.times, from_list.times)
     assert np.array_equal(from_array.rates, from_list.rates)
     assert (from_array.peak, from_array.mean) == (from_list.peak, from_list.mean)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(1, 3000)), min_size=1, max_size=150),
+    st.randoms(use_true_random=False),
+    st.sampled_from([0.001, 0.0035, 0.1, 1.0]),
+)
+def test_instantaneous_rate_is_the_same_on_shuffled_and_sorted_input(ticks, rng, window):
+    # half-tick times, so that many packets share an instant
+    packets = [(t * HAPTIC_TICK / 2, float(size)) for t, size in ticks]
+    shuffled = packets[:]
+    rng.shuffle(shuffled)
+    got, want = instantaneous_rate(shuffled, window), instantaneous_rate(sorted(packets), window)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.rates, want.rates)
+    assert (got.peak, got.mean) == (want.peak, want.mean)
+
+
+def test_instantaneous_rate_window_longer_than_the_stream_holds_every_byte():
+    packets = [(0.5, 100.0), (0.5005, 50.0), (1.2, 70.0)]
+    series = instantaneous_rate(packets, window=5.0)
+    assert series.times.tolist() == [0.5 + 5.0]
+    assert series.rates.tolist() == [220.0 / 5.0]
+    assert series.peak == 220.0 / 5.0
 
 
 def test_instantaneous_rate_empty_stream():

@@ -10,6 +10,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import teleqos
@@ -310,6 +311,19 @@ def test_adaptive_schedule_sets_the_tick_check_and_the_mean_rate():
         build_simulator(ScenarioConfig(net=tight, flows=flows, duration=2.0, warmup=0.0))
 
 
+def test_adaptive_total_bytes_stay_below_2_63(base_net):
+    # 1e17 B/s of video for 120 s is about 1.2e19 B (the last chunk leaves
+    # at 120 s and is cut), which an int64 sum of the packet sizes would
+    # wrap around without an error
+    vh = FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=1e17)
+    cfg = ScenarioConfig(net=base_net, flows=(vh, FlowSpec(name="bulk", kind="tcp")),
+                         duration=120.0, warmup=0.0)
+    with pytest.raises(ScenarioSemanticError,
+                       match=r"^flow 'vh': video_rate 1e\+17 B/s and header 87 B make 1\.19997e\+19 B "
+                             r"in 120 s; a flow's total bytes must stay below 2\^63 B$"):
+        build_simulator(cfg)
+
+
 def test_determinism_byte_identical_traces(base_scenario):
     cfg = replace(base_scenario, duration=5.0, warmup=1.0)
     t1 = run(build_simulator(cfg), record=True)
@@ -528,8 +542,11 @@ def test_adaptive_schedule_follows_scenario_seed(base_net):
         sim = build_simulator(cfg)
         return next(s.schedule for s in sim.sources if s.kind == "adaptive")
 
-    assert build(1) == build(1)
-    assert build(1) != build(2)
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    assert same(build(1), build(1))
+    assert not same(build(1), build(2))
 
 
 def test_build_rejects_overload_with_tcp(base_net):
