@@ -267,10 +267,7 @@ def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) 
     if not 0 < window < math.inf:
         raise InvalidSignalSpec(f"window must be finite and positive, got {window}")
     pairs = np.array(packets, dtype=float)
-    # sort by time, then size, unless already so: sorting sorted keys changes nothing
-    dt = np.diff(pairs[:, 0])
-    if not ((dt > 0) | ((dt == 0) & (np.diff(pairs[:, 1]) >= 0))).all():
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]  # by time, then size
     times = pairs[:, 0]
     sizes = pairs[:, 1]
     cum = np.concatenate([[0.0], np.cumsum(sizes)])

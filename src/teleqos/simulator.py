@@ -466,14 +466,6 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
             f"make a {sizes.max():g} B packet; packet sizes must stay below 2^63 B"
         )
     sizes = sizes.astype(np.int64)
-    # sizes below 2^63 first wrap an int64 running total to a negative when
-    # it reaches 2^63
-    if np.cumsum(sizes).min() < 0:
-        raise ScenarioSemanticError(
-            f"flow {flow.name!r}: video_rate {flow.video_rate:g} B/s and header {header:g} B "
-            f"make {sizes.sum(dtype=float):g} B in {duration:g} s; "
-            f"a flow's total bytes must stay below 2^63 B"
-        )
     return t_ns, sizes, np.where(stream.significant[keep], -video, video), header
 
 
@@ -495,7 +487,6 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     _check_clock("tau", net.tau)
     _check_clock("2 tau + buf/mu", 2 * net.tau + net.buf / net.mu)
     sources: list[_Source] = []
-    adaptive_mean = 0.0
     # the link holds every packet for at least one clock tick (the engine's
     # service time), so completions, deliveries and ACKs strictly increase
     ns_per_byte = 1e9 / net.mu
@@ -524,8 +515,6 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
             src = _Source("adaptive", phase_ns=_ns(flow.phase), schedule=sched)
             sizes = sched[1]
             smallest, largest = int(sizes.min()), int(sizes.max())
-            if config.duration > 0:
-                adaptive_mean += int(sizes.sum()) / config.duration
         sources.append(src)
         _check_clock(f"flow {flow.name!r}: the link time of a {largest} B packet",
                      largest / net.mu)
@@ -542,6 +531,13 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
                 f"delayed-ACK timer, and RFC 5681 section 4.2 asks for an ACK at least "
                 f"every second full-sized segment"
             )
+        # each adaptive flow's realized mean rate, from its bytes summed as
+        # Python ints: an int64 sum of the sizes could wrap around
+        adaptive_mean = 0.0
+        if config.duration > 0:
+            for src in sources:
+                if src.schedule is not None:
+                    adaptive_mean += sum(src.schedule[1].tolist()) / config.duration
         total = config.fixed_cbr_rate + adaptive_mean
         if total >= net.mu:
             raise ScenarioSemanticError(

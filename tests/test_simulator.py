@@ -311,16 +311,16 @@ def test_adaptive_schedule_sets_the_tick_check_and_the_mean_rate():
         build_simulator(ScenarioConfig(net=tight, flows=flows, duration=2.0, warmup=0.0))
 
 
-def test_adaptive_total_bytes_stay_below_2_63(base_net):
+def test_adaptive_mean_rate_sums_bytes_exactly(base_net):
     # 1e17 B/s of video for 120 s is about 1.2e19 B (the last chunk leaves
     # at 120 s and is cut), which an int64 sum of the packet sizes would
-    # wrap around without an error
+    # wrap around to a negative mean rate that TCP's check lets through
     vh = FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=1e17)
     cfg = ScenarioConfig(net=base_net, flows=(vh, FlowSpec(name="bulk", kind="tcp")),
                          duration=120.0, warmup=0.0)
     with pytest.raises(ScenarioSemanticError,
-                       match=r"^flow 'vh': video_rate 1e\+17 B/s and header 87 B make 1\.19997e\+19 B "
-                             r"in 120 s; a flow's total bytes must stay below 2\^63 B$"):
+                       match=r"^flows: aggregate CBR rate 9\.99975e\+16 B/s \(incl\. adaptive mean\) "
+                             r">= link capacity 750000 B/s with a TCP source present$"):
         build_simulator(cfg)
 
 

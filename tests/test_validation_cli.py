@@ -427,19 +427,26 @@ CLOCK = "exceeds the nanosecond clock's limit of 2^63 ns (about 292 years)"
      + ADAPTIVE_FLOW.replace("400 kbps", "1e300 kbps"), ["--duration", "1", "--warmup", "0.2"],
      "flow 'vh': video_rate 1.25e+302 B/s and header 87 B make a 1.875e+300 B packet; "
      "packet sizes must stay below 2^63 B"),
-    ("simulate", SHIPPED + ADAPTIVE_FLOW.replace("400 kbps", "1e17 Bps"), ["--duration", "120"],
-     "flow 'vh': video_rate 1e+17 B/s and header 87 B make 1.2e+19 B in 120 s; "
-     "a flow's total bytes must stay below 2^63 B"),
 ], ids=["simulate-duration", "validate-duration", "tau", "phase", "gap", "mu", "link-time",
-        "adaptive-size", "adaptive-total"])
+        "adaptive-size"])
 def test_cli_names_a_value_beyond_the_engine_integers(tmp_path, capsys, command, text, argv,
                                                       message):
-    # each value is a finite float the engine's integer clock or the int64
-    # packet sizes and their total cannot hold; building the simulator
-    # rejects it before any run
+    # each value is a finite float the engine's integer clock or int64 packet
+    # sizes cannot hold; building the simulator rejects it before any run
     path = write_cfg(tmp_path, text)
     assert main([command, "--config", path, *argv]) == 2
     assert capsys.readouterr().err == f"teleqos: {message}\n"
+
+
+def test_cli_rejects_an_adaptive_total_beyond_int64(tmp_path, capsys):
+    # about 1.2e19 B of video in 120 s: the bytes are summed exactly, so
+    # the mean rate is not wrapped around past the link capacity check
+    path = write_cfg(tmp_path, SHIPPED + ADAPTIVE_FLOW.replace("400 kbps", "1e17 Bps"))
+    assert main(["simulate", "--config", path, "--duration", "120"]) == 2
+    assert capsys.readouterr().err == (
+        "teleqos: flows: aggregate CBR rate 1e+17 B/s (incl. adaptive mean) "
+        ">= link capacity 750000 B/s with a TCP source present\n"
+    )
 
 
 @pytest.mark.parametrize("duration, message", [
