@@ -5,7 +5,9 @@ refactor that keeps these digests keeps the traces byte-identical and the
 cycles (bounds, queue and window extremes, merged losses, per-flow delay
 extremes) unchanged. A third set pins the adaptive sampling pipeline of
 each signal kind: samples, significance flags and packet schedule; a
-fourth pins the text `teleqos --format csv rates` prints for each kind."""
+fourth pins the text `teleqos --format csv rates` prints for each kind,
+and a fifth the stdout and exit code of analyze, simulate and validate in
+text and csv."""
 
 import hashlib
 from dataclasses import replace
@@ -166,3 +168,66 @@ def test_golden_rates_digest(kind, tmp_path, capsys):
     assert main(["--format", "csv", "rates", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RATES[kind]
+
+
+# sha256 of the stdout, and the exit code, of every report format: analyze
+# in text and csv on three scenarios (the baseline; no TCP and the cross
+# flow at 5.5 Mbps, so R > mu fails stability with its note and skips
+# haptic_jitter; the baseline with tight haptic limits), simulate for 25 s
+# on the tight-limit scenario (its loss verdicts included) and a
+# four-point validate sweep
+TIGHT_QOS = """
+[qos]
+haptic_delay = 20 ms
+haptic_jitter = 1 ms
+haptic_loss = 0
+"""
+
+REPORT_SCENARIOS = {
+    "baseline": baseline_text(),
+    "no-tcp-overload": baseline_text().replace("[flow.bulk]\nkind = tcp\n", "")
+                                      .replace("rate = 1.904 Mbps", "rate = 5.5 Mbps"),
+    "tight-qos": baseline_text() + TIGHT_QOS,
+}
+
+REPORT_RUNS = {
+    "analyze-baseline": ("baseline", ("analyze",)),
+    "analyze-no-tcp-overload": ("no-tcp-overload", ("analyze",)),
+    "analyze-tight-qos": ("tight-qos", ("analyze",)),
+    "simulate-tight-qos": ("tight-qos", ("simulate", "--duration", "25")),
+    "validate-baseline": ("baseline", ("validate", "--sweep", "R=2Mbps,5.5Mbps",
+                                       "--duration", "8", "--warmup", "2")),
+}
+
+GOLDEN_REPORTS = {
+    ("analyze-baseline", "csv"): (
+        0, "67c6830f1eb5bc411d42994353e37e37373e82700516c159a0b93fd322282c0f"),
+    ("analyze-baseline", "text"): (
+        0, "0c4735387393209e724c2e717e7853363aea05889dbf9322556e98c7876660bd"),
+    ("analyze-no-tcp-overload", "csv"): (
+        1, "e732e5542db5bc4098ae554f036b397ff57322593f801a3f84f6efc7cd2e25d8"),
+    ("analyze-no-tcp-overload", "text"): (
+        1, "a9d075652380c43442c04bdb7bb7da6ebd5da628189e3c6ce040afc7eab64a06"),
+    ("analyze-tight-qos", "csv"): (
+        1, "1813ea28c1277ab669cbf5a2a41cc15d86cae94ce1a82f0373ef8ec1ae315b27"),
+    ("analyze-tight-qos", "text"): (
+        1, "490f8d087500aff47677a6a1b709b9b9f238de07627d654f474d1e1157050fb6"),
+    ("simulate-tight-qos", "csv"): (
+        1, "5fa0426dc0ae94237fdb46171b1288187b0bae9a77491ce608b5ac6047416708"),
+    ("simulate-tight-qos", "text"): (
+        1, "8925745205b3eb05d9d24d4efb968a736675902a92c1e8f17af0e770f49dc11a"),
+    ("validate-baseline", "csv"): (
+        0, "4adf58b0a4a27279449ca1b4bebadefd61c70d88f857d775f09415fbbebbfdaf"),
+    ("validate-baseline", "text"): (
+        0, "b2d9e0d8eadd25c6ba46f04ced539e6695442037406b1807fca86eb02f12f35c"),
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_REPORTS))
+def test_golden_report_digest(name, fmt, tmp_path, capsys):
+    scenario, (command, *options) = REPORT_RUNS[name]
+    path = tmp_path / "scenario.scn"
+    path.write_text(REPORT_SCENARIOS[scenario])
+    code = main(["--format", fmt, command, "--config", str(path), *options])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_REPORTS[name, fmt]

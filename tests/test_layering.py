@@ -1,6 +1,6 @@
 """Dependency direction: the config and closed-form layers import no numpy
 and none of the layers built on top of them, and numpy loads only where a
-haptic signal is synthesized."""
+haptic signal is synthesized. Every module uses every name it imports."""
 
 import ast
 import os
@@ -46,6 +46,19 @@ def imported_names(path: Path, into_functions: bool = True) -> set[str]:
     return names
 
 
+def unused_imports(path: Path) -> set[str]:
+    """The names a file imports, at any depth, and never reads; a
+    `from __future__` import is a compiler directive, not a name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 @pytest.mark.parametrize("module", LOWER)
 def test_lower_layer_imports_no_upper_layer(module):
     assert imported_names(SRC / module) & UPPER == set()
@@ -72,6 +85,23 @@ def test_module_level_check_skips_function_bodies(tmp_path):
     assert "sampling" in imported_names(probe)
     probe.write_text("if True:\n    import numpy\n", encoding="utf-8")
     assert "numpy" in imported_names(probe, into_functions=False)
+
+
+@pytest.mark.parametrize("module", sorted(
+    str(p.relative_to(SRC)) for p in SRC.rglob("*.py") if p.name != "__init__.py"))
+def test_module_uses_every_import(module):
+    assert unused_imports(SRC / module) == set()
+
+
+def test_unused_import_check_sees_each_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    for line in ("import csv", "import os.path", "import numpy as np", "from io import StringIO",
+                 "from dataclasses import replace as swap", "def f():\n    import csv"):
+        probe.write_text("from __future__ import annotations\n" + line + "\n", encoding="utf-8")
+        assert len(unused_imports(probe)) == 1, line
+    probe.write_text("import os.path\nfrom io import StringIO as S\nos.path.join(S())\n",
+                     encoding="utf-8")
+    assert unused_imports(probe) == set()
 
 
 def test_simulate_loads_no_numpy(tmp_path):

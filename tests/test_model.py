@@ -248,3 +248,28 @@ def test_qos_check_packet_size_flag_is_soft(base_net):
     assert cond.passed is False and cond.hard is False
     hard_ok = all(c.passed for c in report.conditions if c.hard and c.passed is not None)
     assert report.overall == hard_ok
+
+
+BASE_H = HapticFlowSpec(rate_h=1.096 * MBPS, gap_h=1e-3, pkt_h=137.0, rate_cross=1.904 * MBPS,
+                        pkt_cross=150.0)
+BASE_MUX = AvMuxSpec(s_a=160.0, s_m=58.0, f_v=25.0)
+
+
+@pytest.mark.parametrize("name", ["haptic_delay", "haptic_jitter", "audio_delay", "video_delay"])
+def test_qos_check_fails_a_limit_equal_to_its_value(base_net, name):
+    # each closed-form condition is strict: haptic_delay at tau + B/mu fails
+    media, key = name.split("_")
+    value = qos_check(base_net, BASE_H, QosSpec(), BASE_MUX).condition(name).value
+    qos = replace(QosSpec(), **{media: replace(getattr(QosSpec(), media), **{key: value})})
+    cond = qos_check(base_net, BASE_H, qos, BASE_MUX).condition(name)
+    assert (cond.value, cond.limit, cond.passed) == (value, value, False)
+
+
+def test_qos_check_fails_a_rate_at_capacity_and_a_packet_at_half_the_tcp_size(base_net):
+    half = 0.5 * base_net.s_tcp
+    h = HapticFlowSpec(rate_h=base_net.mu, gap_h=half / base_net.mu, pkt_h=half, rate_cross=0.0,
+                       pkt_cross=150.0)
+    report = qos_check(base_net, h)
+    for name, value in (("stability", base_net.mu), ("packet_size", half)):
+        cond = report.condition(name)
+        assert (cond.value, cond.limit, cond.passed) == (value, value, False)

@@ -1,6 +1,7 @@
 """Validation runner, report emission and the command-line interface."""
 
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -201,6 +202,27 @@ def test_compliance_from_simulation(base_cfg):
     assert "overall:" in text
     csv_text = emit_compliance(report, "csv")
     assert csv_text.splitlines()[0].startswith("condition,")
+
+
+def test_a_loss_equal_to_its_limit_passes(base_cfg):
+    # unlike the closed-form conditions, a loss verdict passes at equality:
+    # 274 of 546,630 haptic bytes are dropped in this window
+    cfg = replace(base_cfg, duration=6.0, warmup=2.0)
+    trace = run(build_simulator(cfg))
+    loss = compliance_from_simulation(cfg, trace).condition("haptic_loss").value
+    assert loss > 0
+    for limit, passed in ((loss, True), (math.nextafter(loss, 0.0), False)):
+        qos = replace(cfg.qos, haptic=replace(cfg.qos.haptic, loss=limit))
+        cond = compliance_from_simulation(replace(cfg, qos=qos), trace).condition("haptic_loss")
+        assert (cond.value, cond.limit, cond.passed) == (loss, limit, passed)
+
+
+def test_no_loss_passes_a_zero_limit(base_cfg):
+    # with a 3 kB queue only TCP and cross packets are dropped in this window
+    cfg = replace(base_cfg, duration=6.0, warmup=2.0, net=replace(base_cfg.net, buf=3000.0))
+    cfg = replace(cfg, qos=replace(cfg.qos, haptic=replace(cfg.qos.haptic, loss=0.0)))
+    cond = compliance_from_simulation(cfg, run(build_simulator(cfg))).condition("haptic_loss")
+    assert (cond.value, cond.limit, cond.passed) == (0.0, 0.0, True)
 
 
 # --------------------------------------------------------------------------
