@@ -145,12 +145,11 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
     pairs = np.column_stack((t_ns / 1e9, sizes))
     series = sampling.instantaneous_rate(pairs, window=args.window)
     if args.format == "csv":
-        lines = ["time_s,rate_Bps"]
         times, rates = series.times.tolist(), series.rates.tolist()
-        lines += [f"{t:.3f},{r:.1f}" for t, r in zip(times, rates)]
-        lines.append(f"# peak_Bps,{series.peak:.1f}")
-        lines.append(f"# mean_Bps,{series.mean:.1f}")
-        text = "\n".join(lines) + "\n"
+        text = validation.write_csv([
+            ("time_s", "rate_Bps"), *((f"{t:.3f}", f"{r:.1f}") for t, r in zip(times, rates)),
+            ("# peak_Bps", f"{series.peak:.1f}"), ("# mean_Bps", f"{series.mean:.1f}"),
+        ])
     else:
         text = (
             f"flow {flow.name} (deadband {flow.deadband:g}): "

@@ -441,6 +441,11 @@ def validity_check(net: NetworkParams, cbr: CbrAggregate) -> ValidityFlags:
 # compliance
 
 
+def _under(name: str, value: float, limit: float, hard: bool = True, note: str = "") -> ConditionResult:
+    """The verdict of a closed-form condition: value strictly below limit."""
+    return ConditionResult(name, passed=value < limit, hard=hard, value=value, limit=limit, note=note)
+
+
 def qos_check(
     net: NetworkParams,
     h: HapticFlowSpec,
@@ -457,55 +462,23 @@ def qos_check(
     no closed form here; simulation fills those verdicts in.
     """
     qos = qos or QosSpec()
-    agg = CbrAggregate(h.rate_total)
-    flags = validity_check(net, agg)
-
-    conditions: list[ConditionResult] = []
-    conditions.append(
-        ConditionResult(
-            "stability",
-            passed=flags.stability,
-            value=h.rate_total,
-            limit=net.mu,
-            note="aggregate CBR rate below link capacity",
-        )
-    )
-
-    d_max = net.tau + net.buf / net.mu
-    conditions.append(
-        ConditionResult("haptic_delay", passed=d_max < qos.haptic.delay, value=d_max, limit=qos.haptic.delay)
-    )
-
-    if flags.stability:
-        jit = haptic_jitter_max(net, h)
-        conditions.append(
-            ConditionResult("haptic_jitter", passed=jit < qos.haptic.jitter, value=jit, limit=qos.haptic.jitter)
-        )
+    flags = validity_check(net, CbrAggregate(h.rate_total))
+    stability = _under("stability", h.rate_total, net.mu, note="aggregate CBR rate below link capacity")
+    conditions = [stability, _under("haptic_delay", net.tau + net.buf / net.mu, qos.haptic.delay)]
+    if stability.passed:
+        conditions.append(_under("haptic_jitter", haptic_jitter_max(net, h), qos.haptic.jitter))
     else:
         conditions.append(
             ConditionResult("haptic_jitter", passed=None, note="not evaluated: unstable configuration")
         )
-
     # "small relative to the TCP packets": comparable sizes (e.g. 566 B vs
     # 578 B) must raise the flag, so the threshold is half the TCP size
-    conditions.append(
-        ConditionResult(
-            "packet_size",
-            passed=h.pkt_h < 0.5 * net.s_tcp,
-            hard=False,
-            value=h.pkt_h,
-            limit=0.5 * net.s_tcp,
-            note="telehaptic packets comparable to TCP packets risk droptail losses",
-        )
-    )
-
+    conditions.append(_under(
+        "packet_size", h.pkt_h, 0.5 * net.s_tcp, hard=False,
+        note="telehaptic packets comparable to TCP packets risk droptail losses",
+    ))
     if mux is not None:
         d_aud, d_vid = av_delay_bounds(mux, h.gap_h, qos.haptic.delay)
-        conditions.append(
-            ConditionResult("audio_delay", passed=d_aud < qos.audio.delay, value=d_aud, limit=qos.audio.delay)
-        )
-        conditions.append(
-            ConditionResult("video_delay", passed=d_vid < qos.video.delay, value=d_vid, limit=qos.video.delay)
-        )
-
+        conditions += [_under("audio_delay", d_aud, qos.audio.delay),
+                       _under("video_delay", d_vid, qos.video.delay)]
     return ComplianceReport(conditions=conditions, validity=flags)

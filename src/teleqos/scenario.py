@@ -244,7 +244,7 @@ _SIGNAL = {"signal": _STR._replace(field="kind"), "amplitude": _FLOAT,
 # media -> the [qos] keys of its MediaQos: haptic_delay, haptic_jitter, ...
 _QOS = {media: {f"{media}_{key}": codec._replace(field=key)
                 for key, codec in (("delay", _TIME), ("jitter", _TIME), ("loss", _FRACTION))}
-        for media in ("haptic", "audio", "video")}
+        for media in (f.name for f in fields(QosSpec))}
 _MUX = {"s_a": _SIZE, "s_m": _SIZE, "f_v": _FREQ}
 _RUN = {"duration": _TIME, "warmup": _TIME, "seed": _INT}
 _SECTIONS = {"network": (_NETWORK,), "flow.*": (_FLOW, _SIGNAL), "qos": tuple(_QOS.values()),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import simulator
 from .model import (
@@ -20,6 +20,7 @@ from .model import (
     ComplianceReport,
     ConditionResult,
     HapticFlowSpec,
+    QosSpec,
     ValidityFlags,
     delay_bounds,
     haptic_jitter_max,
@@ -197,36 +198,27 @@ def compliance_from_simulation(config: ScenarioConfig, trace: simulator.Trace) -
     h = haptic_spec_of(config)
     report = qos_check(config.net, h, config.qos, config.mux)
 
-    limits = {
-        "haptic": config.qos.haptic.loss,
-        "audio": config.qos.audio.loss,
-        "video": config.qos.video.loss,
-    }
-    observed: dict[str, tuple[float, float]] = {}
-    for metrics in trace.metrics.values():
-        for tag, total in metrics.media_bytes.items():
-            if tag in limits:
-                prev_total, prev_dropped = observed.get(tag, (0.0, 0.0))
-                observed[tag] = (
-                    prev_total + total,
-                    prev_dropped + metrics.media_dropped_bytes.get(tag, 0.0),
+    for media in (f.name for f in fields(QosSpec)):
+        carriers = [m for m in trace.metrics.values() if media in m.media_bytes]
+        if not carriers:
+            if media == "haptic":
+                raise ScenarioSemanticError(
+                    f"no haptic bytes measured in the window from {config.effective_warmup:g} s "
+                    f"to {config.duration:g} s, so there is no loss verdict"
                 )
-    if "haptic" not in observed:
-        raise ScenarioSemanticError(
-            f"no haptic bytes measured in the window from {config.effective_warmup:g} s to "
-            f"{config.duration:g} s, so there is no loss verdict"
-        )
-    for media, limit in limits.items():
-        if media in observed:
-            total, dropped = observed[media]
-            frac = dropped / total if total else 0.0
-            report.conditions.append(
-                ConditionResult(f"{media}_loss", passed=frac <= limit, value=frac, limit=limit)
-            )
-        else:
             report.conditions.append(
                 ConditionResult(f"{media}_loss", passed=None, note="no such media in the run")
             )
+            continue
+        total = dropped = 0.0
+        for m in carriers:
+            total += m.media_bytes[media]
+            dropped += m.media_dropped_bytes.get(media, 0.0)
+        frac = dropped / total if total else 0.0
+        limit = getattr(config.qos, media).loss
+        report.conditions.append(
+            ConditionResult(f"{media}_loss", passed=frac <= limit, value=frac, limit=limit)
+        )
     return report
 
 
@@ -236,6 +228,13 @@ def compliance_from_simulation(config: ScenarioConfig, trace: simulator.Trace) -
 
 def _fmt_ms(value: float | None) -> str:
     return "" if value is None else f"{value * 1e3:.4f}"
+
+
+def write_csv(rows) -> str:
+    """Rows of text cells as CSV, each line ending in a newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def emit_validation(rows: list[ValidationRow], fmt: str = "csv") -> str:
@@ -255,31 +254,31 @@ def emit_validation(rows: list[ValidationRow], fmt: str = "csv") -> str:
             )
         )
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(table)
-        return buf.getvalue()
+        return write_csv(table)
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"
 
 
 def emit_compliance(report: ComplianceReport, fmt: str = "text") -> str:
+    skip = "SKIP" if fmt == "csv" else "skip"
+
+    def verdict(passed: bool | None) -> str:
+        return "PASS" if passed else "FAIL" if passed is not None else skip
+
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(("condition", "verdict", "hard", "value", "limit", "note"))
-        for c in report.conditions:
-            verdict = "PASS" if c.passed else "FAIL" if c.passed is not None else "SKIP"
-            w.writerow(
-                (
-                    c.name, verdict, "yes" if c.hard else "no",
-                    "" if c.value is None else f"{c.value:.6g}",
-                    "" if c.limit is None else f"{c.limit:.6g}",
-                    c.note,
-                )
+        rows = [("condition", "verdict", "hard", "value", "limit", "note")]
+        rows += [
+            (
+                c.name, verdict(c.passed), "yes" if c.hard else "no",
+                "" if c.value is None else f"{c.value:.6g}",
+                "" if c.limit is None else f"{c.limit:.6g}",
+                c.note,
             )
-        w.writerow(("overall", "PASS" if report.overall else "FAIL", "", "", "", ""))
-        return buf.getvalue()
+            for c in report.conditions
+        ]
+        rows.append(("overall", verdict(report.overall), "", "", "", ""))
+        return write_csv(rows)
 
     def human(name: str, value: float) -> str:
         if name.endswith(("_delay", "_jitter")):
@@ -292,18 +291,17 @@ def emit_compliance(report: ComplianceReport, fmt: str = "text") -> str:
 
     lines = []
     for c in report.conditions:
-        verdict = "PASS" if c.passed else "FAIL" if c.passed is not None else "skip"
         detail = ""
         if c.value is not None and c.limit is not None:
             detail = f"  ({human(c.name, c.value)} vs limit {human(c.name, c.limit)})"
         flag = "" if c.hard else "  [warning only]"
         note = f"  -- {c.note}" if c.note and c.passed is False else ""
-        lines.append(f"{c.name:<14} {verdict}{detail}{flag}{note}")
+        lines.append(f"{c.name:<14} {verdict(c.passed)}{detail}{flag}{note}")
     v = report.validity
     lines.append(
         "validity: stability={} full-utilization={} single-loss={}".format(
             *("yes" if x else "no" for x in (v.stability, v.full_utilization, v.single_loss))
         )
     )
-    lines.append(f"overall: {'PASS' if report.overall else 'FAIL'}")
+    lines.append(f"overall: {verdict(report.overall)}")
     return "\n".join(lines) + "\n"
