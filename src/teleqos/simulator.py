@@ -558,9 +558,9 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     raw trace (record=True, one CSV line per event) covers everything and
     is kept as one text, which each joined block extends in place, so the
     run never holds a second copy of it. Each line is formatted where its
-    event happens; on the 60 s baseline (821,521 lines) recording raises
-    the engine's CPU time from about 0.8 s to about 1.5 s (Python 3.11,
-    2-vCPU Xeon).
+    event happens; on the 60 s baseline (821,521 lines) recording about
+    doubles the engine's CPU time, 0.59-0.90 s to 1.32-1.76 s over 8
+    alternating pairs (Python 3.11, 2-vCPU Xeon).
     A packet is the one record its source's iterator yields (TCP's in the
     same layout); the heap, queue, link and delivery line pass it on.
     Raises SimulationError if the link idles while packets wait, the queue
