@@ -204,16 +204,15 @@ class AvMuxSpec:
 
 @dataclass(frozen=True)
 class ValidityFlags:
-    """Independent model-validity conditions.
+    """Independent model-validity conditions. R < mu is no flag: it is
+    qos_check's stability condition, and CbrAggregate.alpha rejects R >= mu.
 
-    stability:        R < mu (the TCP flow can sustain rate adaptation)
     full_utilization: B > 2*mu*tau (the queue never empties)
     single_loss:      R <= 0.65*mu (empirical region where exactly one
                       packet is lost per cycle; d_min is unreliable
                       outside it, d_max stays accurate)
     """
 
-    stability: bool
     full_utilization: bool
     single_loss: bool
 
@@ -228,6 +227,7 @@ class ConditionResult:
     value: float | None = None
     limit: float | None = None
     note: str = ""
+    unit: str = ""  # of value and limit: "s", "B", "B/s", or "" for a fraction
 
 
 @dataclass
@@ -429,9 +429,8 @@ SINGLE_LOSS_LOAD_LIMIT = 0.65  # empirical upper bound on R/mu for one loss per 
 
 
 def validity_check(net: NetworkParams, cbr: CbrAggregate) -> ValidityFlags:
-    """Evaluate the three model-validity conditions (flags, never failures)."""
+    """Evaluate the two model-validity conditions (flags, never failures)."""
     return ValidityFlags(
-        stability=cbr.rate_total < net.mu,
         full_utilization=net.buf > net.bdp,
         single_loss=cbr.rate_total <= SINGLE_LOSS_LOAD_LIMIT * net.mu,
     )
@@ -441,9 +440,11 @@ def validity_check(net: NetworkParams, cbr: CbrAggregate) -> ValidityFlags:
 # compliance
 
 
-def _under(name: str, value: float, limit: float, hard: bool = True, note: str = "") -> ConditionResult:
+def _under(name: str, value: float, limit: float, unit: str, hard: bool = True,
+           note: str = "") -> ConditionResult:
     """The verdict of a closed-form condition: value strictly below limit."""
-    return ConditionResult(name, passed=value < limit, hard=hard, value=value, limit=limit, note=note)
+    return ConditionResult(name, passed=value < limit, hard=hard, value=value, limit=limit,
+                           note=note, unit=unit)
 
 
 def qos_check(
@@ -463,10 +464,11 @@ def qos_check(
     """
     qos = qos or QosSpec()
     flags = validity_check(net, CbrAggregate(h.rate_total))
-    stability = _under("stability", h.rate_total, net.mu, note="aggregate CBR rate below link capacity")
-    conditions = [stability, _under("haptic_delay", net.tau + net.buf / net.mu, qos.haptic.delay)]
+    stability = _under("stability", h.rate_total, net.mu, "B/s",
+                       note="aggregate CBR rate below link capacity")
+    conditions = [stability, _under("haptic_delay", net.tau + net.buf / net.mu, qos.haptic.delay, "s")]
     if stability.passed:
-        conditions.append(_under("haptic_jitter", haptic_jitter_max(net, h), qos.haptic.jitter))
+        conditions.append(_under("haptic_jitter", haptic_jitter_max(net, h), qos.haptic.jitter, "s"))
     else:
         conditions.append(
             ConditionResult("haptic_jitter", passed=None, note="not evaluated: unstable configuration")
@@ -474,11 +476,11 @@ def qos_check(
     # "small relative to the TCP packets": comparable sizes (e.g. 566 B vs
     # 578 B) must raise the flag, so the threshold is half the TCP size
     conditions.append(_under(
-        "packet_size", h.pkt_h, 0.5 * net.s_tcp, hard=False,
+        "packet_size", h.pkt_h, 0.5 * net.s_tcp, "B", hard=False,
         note="telehaptic packets comparable to TCP packets risk droptail losses",
     ))
     if mux is not None:
         d_aud, d_vid = av_delay_bounds(mux, h.gap_h, qos.haptic.delay)
-        conditions += [_under("audio_delay", d_aud, qos.audio.delay),
-                       _under("video_delay", d_vid, qos.video.delay)]
+        conditions += [_under("audio_delay", d_aud, qos.audio.delay, "s"),
+                       _under("video_delay", d_vid, qos.video.delay, "s")]
     return ComplianceReport(conditions=conditions, validity=flags)

@@ -46,7 +46,7 @@ from numbers import Real
 from typing import Any, Callable, NamedTuple
 
 from . import units
-from .model import AvMuxSpec, NetworkParams, QosSpec
+from .model import AvMuxSpec, InvalidParams, NetworkParams, QosSpec
 
 FLOW_KINDS = ("tcp", "cbr", "telehaptic", "adaptive")
 DEFAULT_HEADER = 87.0   # header + haptic payload of a significant packet, bytes
@@ -299,11 +299,14 @@ def _read_sections(text: str) -> dict[str, list[dict]]:
 
 
 def _build(cls, section: str, values: dict):
-    """cls(**values), after naming the first required field that is missing."""
+    """cls(**values); a missing required key or cls's own check is a ScenarioSemanticError."""
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
             raise ScenarioSemanticError(f"[{section}] is missing required key {f.name!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except (InvalidParams, InvalidSignalSpec) as exc:
+        raise ScenarioSemanticError(str(exc)) from exc
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -317,7 +320,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     flows: list[FlowSpec] = []
     for section in [s for s in sections if s.startswith("flow.")]:
         values, signal = sections[section]
-        values.update(name=section[len("flow."):], signal=SignalSpec(**signal) if signal else None)
+        values.update(name=section[len("flow."):],
+                      signal=_build(SignalSpec, section, signal) if signal else None)
         if not values["name"]:
             raise ScenarioSemanticError("flow section needs a name: [flow.NAME]")
         flows.append(_build(FlowSpec, section, values))

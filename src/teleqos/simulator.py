@@ -416,18 +416,13 @@ class _Source:
         """A fresh time-ordered iterator of an open-loop source's packets as
         flow `flow`: the (t_ns, flow, seq, size, breakdown) records run()
         carries to delivery, seq from 0; breakdown maps media to bytes."""
-        if self.schedule is not None:
-            # only an adaptive source has a schedule, and numpy with it
-            import numpy as np
-
+        if self.schedule is not None:  # an adaptive source
             times, sizes, keys, header = self.schedule
-            # packets of one make-up share one breakdown dict, as the packets
-            # of a cbr source do
-            makeups, which = np.unique(keys, return_inverse=True)
-            shared = [{"haptic": header, "video": -v} if v < 0 else {"header": header, "video": v}
-                      for v in makeups.tolist()]
+            # a memoryview yields the keys as floats without a list of them
+            breakdowns = ({"haptic": header, "video": -v} if v < 0 else {"header": header, "video": v}
+                          for v in memoryview(keys))
             return zip(map(self.phase_ns.__add__, times.tolist()), repeat(flow), count(),
-                       sizes.tolist(), map(shared.__getitem__, which.tolist()))
+                       sizes.tolist(), breakdowns)
         breakdown = {"haptic" if self.kind == "telehaptic" else "cbr-cross": self.size}
         return zip(count(self.phase_ns, self.gap_ns), repeat(flow), count(),
                    repeat(self.size), repeat(breakdown))

@@ -46,12 +46,12 @@ class ValidationRow:
     control: float            # grid value in its native unit (B/s)
     nack: int
     dmin_a: float
-    dmin_s: float | None
     dmax_a: float
-    dmax_s: float | None
     jit_a: float
-    jit_s: float | None
     flags: ValidityFlags
+    dmin_s: float | None = None   # the simulated columns: None until a run measures them
+    dmax_s: float | None = None
+    jit_s: float | None = None
 
     def rel_error(self, analytic: float, simulated: float | None) -> float | None:
         if simulated is None or analytic == 0:
@@ -120,37 +120,25 @@ def _sweep_config(config: ScenarioConfig, var: str, value: float) -> ScenarioCon
     raise ScenarioSemanticError(f"unknown sweep variable {var!r} (expected R or mu)")
 
 
-def _one_point(
-    cfg: ScenarioConfig, control: float, h: HapticFlowSpec, sim: simulator.Simulator | None
-) -> ValidationRow:
-    """The row of one sweep point from its closed-form inputs h (its
-    haptic_spec_of); sim, the point's built simulator, adds the measured
-    columns when given."""
-    agg = CbrAggregate(h.rate_total)
-    flags = validity_check(cfg.net, agg)
-    dmin_a, dmax_a = delay_bounds(cfg.net, agg)
-    jit_a = haptic_jitter_max(cfg.net, h)
-
-    dmin_s = dmax_s = jit_s = None
-    if sim is not None:
-        tele_name = next(f.name for f in cfg.flows if f.kind == "telehaptic")
-        trace = simulator.run(sim)
-        m = trace.metrics[tele_name]
-        jit_s = m.max_positive_jitter if m.delivered else None
-        # d_max is a bound, so the run-wide maximum is compared; d_min uses
-        # the mean of per-cycle minima to smooth recovery transients
-        dmax_s = m.max_delay
-        try:
-            cycles = simulator.extract_cycles(trace)
-            dmin_s = cycles.observed_d_min(tele_name)
-        except (simulator.InsufficientCycles, simulator.UnknownFlow):
-            # too few cycles, or none with a delivery of the flow
-            dmin_s = m.min_delay
-    return ValidationRow(
-        control=control, nack=cfg.net.n_ack,
-        dmin_a=dmin_a, dmin_s=dmin_s, dmax_a=dmax_a, dmax_s=dmax_s,
-        jit_a=jit_a, jit_s=jit_s, flags=flags,
-    )
+def _one_point(cfg: ScenarioConfig, row: ValidationRow, sim: simulator.Simulator | None
+               ) -> ValidationRow:
+    """row, one sweep point's analytic row, with its measured columns filled
+    in by running sim, the point's built simulator, when one is given."""
+    if sim is None:
+        return row
+    tele_name = next(f.name for f in cfg.flows if f.kind == "telehaptic")
+    trace = simulator.run(sim)
+    m = trace.metrics[tele_name]
+    # d_max is a bound, so the run-wide maximum is compared; d_min uses
+    # the mean of per-cycle minima to smooth recovery transients
+    try:
+        cycles = simulator.extract_cycles(trace)
+        dmin_s = cycles.observed_d_min(tele_name)
+    except (simulator.InsufficientCycles, simulator.UnknownFlow):
+        # too few cycles, or none with a delivery of the flow
+        dmin_s = m.min_delay
+    return replace(row, dmin_s=dmin_s, dmax_s=m.max_delay,
+                   jit_s=m.max_positive_jitter if m.delivered else None)
 
 
 def run_validation(
@@ -165,9 +153,9 @@ def run_validation(
 ) -> list[ValidationRow]:
     """One ValidationRow per (grid value, n_ack), sorted by (control, nack);
     duration and warmup, where given, replace the scenario's run window.
-    Every point is built, and so checked, before any of them runs: the
-    closed forms always, and the simulator too when simulate is on.
-    jobs > 1 runs the points in that many processes, at most one per point."""
+    Every point's closed forms are evaluated, and with simulate on its
+    simulator built, before any point runs. jobs > 1 runs the points in
+    that many processes, at most one per point."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     window = {"duration": duration, "warmup": warmup}
@@ -177,8 +165,11 @@ def run_validation(
         swept = _sweep_config(config, var, value)
         for nack in sorted(nack_grid):
             cfg = replace(swept, net=replace(swept.net, n_ack=nack))
-            h = haptic_spec_of(cfg)  # the closed forms reject a bad point here, before any run
-            points.append((cfg, value, h, simulator.build_simulator(cfg) if simulate else None))
+            h = haptic_spec_of(cfg)
+            agg = CbrAggregate(h.rate_total)
+            row = ValidationRow(value, nack, *delay_bounds(cfg.net, agg),
+                                haptic_jitter_max(cfg.net, h), validity_check(cfg.net, agg))
+            points.append((cfg, row, simulator.build_simulator(cfg) if simulate else None))
     workers = min(jobs, len(points))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -217,13 +208,22 @@ def compliance_from_simulation(config: ScenarioConfig, trace: simulator.Trace) -
         frac = dropped / total if total else 0.0
         limit = getattr(config.qos, media).loss
         report.conditions.append(
-            ConditionResult(f"{media}_loss", passed=frac <= limit, value=frac, limit=limit)
+            ConditionResult(f"{media}_loss", passed=frac <= limit, value=frac, limit=limit, unit="")
         )
     return report
 
 
 # --------------------------------------------------------------------------
 # report emission
+
+
+# a condition's unit -> the text report's rendering of a value in it
+HUMAN_UNITS = {
+    "s": lambda value: f"{value * 1e3:.3g} ms",
+    "": lambda value: f"{value * 100:.3g}%",
+    "B/s": lambda value: f"{value * 8 / 1e6:.4g} Mbps",
+    "B": lambda value: f"{value:.6g} B",
+}
 
 
 def _fmt_ms(value: float | None) -> str:
@@ -237,7 +237,7 @@ def write_csv(rows) -> str:
     return buf.getvalue()
 
 
-def emit_validation(rows: list[ValidationRow], fmt: str = "csv") -> str:
+def emit_validation(rows: list[ValidationRow], fmt: str) -> str:
     """Rows as CSV (fixed column order) or an aligned text table.
 
     Rate-valued controls are reported in Mbps, capacities likewise.
@@ -260,7 +260,7 @@ def emit_validation(rows: list[ValidationRow], fmt: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_compliance(report: ComplianceReport, fmt: str = "text") -> str:
+def emit_compliance(report: ComplianceReport, fmt: str) -> str:
     skip = "SKIP" if fmt == "csv" else "skip"
 
     def verdict(passed: bool | None) -> str:
@@ -280,28 +280,18 @@ def emit_compliance(report: ComplianceReport, fmt: str = "text") -> str:
         rows.append(("overall", verdict(report.overall), "", "", "", ""))
         return write_csv(rows)
 
-    def human(name: str, value: float) -> str:
-        if name.endswith(("_delay", "_jitter")):
-            return f"{value * 1e3:.3g} ms"
-        if name.endswith("_loss"):
-            return f"{value * 100:.3g}%"
-        if name == "stability":
-            return f"{value * 8 / 1e6:.4g} Mbps"
-        return f"{value:.6g} B"
-
     lines = []
     for c in report.conditions:
         detail = ""
         if c.value is not None and c.limit is not None:
-            detail = f"  ({human(c.name, c.value)} vs limit {human(c.name, c.limit)})"
+            human = HUMAN_UNITS[c.unit]
+            detail = f"  ({human(c.value)} vs limit {human(c.limit)})"
         flag = "" if c.hard else "  [warning only]"
         note = f"  -- {c.note}" if c.note and c.passed is False else ""
         lines.append(f"{c.name:<14} {verdict(c.passed)}{detail}{flag}{note}")
-    v = report.validity
-    lines.append(
-        "validity: stability={} full-utilization={} single-loss={}".format(
-            *("yes" if x else "no" for x in (v.stability, v.full_utilization, v.single_loss))
-        )
-    )
+    flags = (report.condition("stability").passed,
+             report.validity.full_utilization, report.validity.single_loss)
+    lines.append("validity: stability={} full-utilization={} single-loss={}".format(
+        *("yes" if x else "no" for x in flags)))
     lines.append(f"overall: {verdict(report.overall)}")
     return "\n".join(lines) + "\n"

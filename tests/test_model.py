@@ -213,10 +213,10 @@ def test_av_delay_bounds():
 
 def test_validity_check(base_net):
     flags = validity_check(base_net, CbrAggregate(3 * MBPS))
-    assert flags.stability and flags.full_utilization and flags.single_loss
+    assert flags.full_utilization and flags.single_loss
 
     flags = validity_check(base_net, CbrAggregate(5.5 * MBPS))
-    assert flags.stability and flags.full_utilization and not flags.single_loss
+    assert flags.full_utilization and not flags.single_loss
 
     shallow = NetworkParams(mu=6 * MBPS, tau=8e-3, buf=10000.0, s_tcp=578.0)
     assert not validity_check(shallow, CbrAggregate(1 * MBPS)).full_utilization

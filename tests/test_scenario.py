@@ -371,6 +371,26 @@ def test_render_leaves_out_zero_phase_and_default_header(base_net):
     assert "signal = contact-burst\namplitude = 1.0\nsignal_seed = 0\n" in text
 
 
+# a value type's own check, reported as a ScenarioSemanticError with its message
+VALUE_ERRORS = [
+    ("mu = 6 Mbps", "mu = 0 Mbps", "link capacity must be positive, got 0.0"),
+    ("buf = 14 kB", "buf = 0 B", "queue capacity must be positive, got 0.0"),
+    ("n_ack = 1", "n_ack = 0", "cumulative-ACK factor must be >= 1, got 0"),
+    ("f_v = 25 Hz", "f_v = 0 Hz", "mux parameters must be positive"),
+    ("amplitude = 2.5", "signal = sawtooth", "unknown signal kind 'sawtooth'"),
+    ("amplitude = 2.5", "amplitude = -1", "amplitude must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", VALUE_ERRORS)
+def test_value_type_check_is_a_semantic_error(old, new, message):
+    assert old in ERROR_BASE
+    with pytest.raises(ScenarioSemanticError) as info:
+        parse_scenario(ERROR_BASE.replace(old, new, 1))
+    assert type(info.value) is ScenarioSemanticError
+    assert str(info.value) == message
+
+
 LAYOUT_ERRORS = [
     ("haptic_delay = 25 ms", "haptic_delay = 25 ms\nhaptic_delay = 30 ms", ScenarioParseError,
      "line 21: duplicate key 'haptic_delay'"),

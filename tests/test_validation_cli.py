@@ -19,12 +19,15 @@ from teleqos import (
     simulator,
 )
 from teleqos.cli import main
+from teleqos.model import ConditionResult, InvalidParams, qos_check
 from teleqos.scenario import ScenarioSemanticError
 from teleqos.validation import (
+    HUMAN_UNITS,
     VALIDATION_COLUMNS,
     compliance_from_simulation,
     emit_compliance,
     emit_validation,
+    haptic_spec_of,
     run_validation,
 )
 
@@ -108,13 +111,22 @@ def _no_run(*args, **kwargs):
     raise AssertionError("a scenario ran before its input errors were checked")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_validation_checks_every_point_before_running_any(base_cfg, monkeypatch, jobs):
+@pytest.mark.parametrize("jobs, tcp, error, message", [
+    pytest.param(1, True, ScenarioSemanticError, "must stay below the link capacity", id="1"),
+    pytest.param(2, True, ScenarioSemanticError, "must stay below the link capacity", id="2"),
+    pytest.param(1, False, InvalidParams, "aggregate CBR rate", id="no-tcp-1"),
+    pytest.param(2, False, InvalidParams, "aggregate CBR rate", id="no-tcp-2"),
+])
+def test_run_validation_checks_every_point_before_running_any(base_cfg, monkeypatch, jobs, tcp,
+                                                              error, message):
     # the last R point overloads the link: it is rejected before the first
     # point simulates, in the serial path and in the pool (whose forked
-    # workers inherit the patch) alike
+    # workers inherit the patch) alike. With a TCP flow the scenario
+    # rejects it; without one the simulator runs it, so the closed forms do
+    if not tcp:
+        base_cfg = replace(base_cfg, flows=tuple(f for f in base_cfg.flows if f.kind != "tcp"))
     monkeypatch.setattr(simulator, "run", _no_run)
-    with pytest.raises(ScenarioSemanticError, match="must stay below the link capacity"):
+    with pytest.raises(error, match=message):
         run_validation(base_cfg, "R", [2 * MBPS, 3 * MBPS, 6 * MBPS], nack_grid=(1, 2), jobs=jobs)
 
 
@@ -202,6 +214,25 @@ def test_compliance_from_simulation(base_cfg):
     assert "overall:" in text
     csv_text = emit_compliance(report, "csv")
     assert csv_text.splitlines()[0].startswith("condition,")
+
+
+def test_every_condition_carries_a_unit_the_text_report_formats(base_cfg):
+    # a report with mux and measured losses holds every kind of condition
+    cfg = replace(base_cfg, duration=6.0, warmup=2.0)
+    report = compliance_from_simulation(cfg, run(build_simulator(cfg)))
+    assert {c.name: c.unit for c in report.conditions} == {
+        "stability": "B/s", "haptic_delay": "s", "haptic_jitter": "s", "packet_size": "B",
+        "audio_delay": "s", "video_delay": "s", "haptic_loss": "", "audio_loss": "", "video_loss": "",
+    }
+    assert {c.unit for c in report.conditions} <= set(HUMAN_UNITS)
+
+
+def test_emit_compliance_formats_a_value_by_its_unit_not_its_name(base_cfg):
+    report = qos_check(base_cfg.net, haptic_spec_of(base_cfg))
+    report.conditions.append(
+        ConditionResult("provisioning", passed=True, value=2.5 * MBPS, limit=4 * MBPS, unit="B/s")
+    )
+    assert "\nprovisioning   PASS  (2.5 Mbps vs limit 4 Mbps)\n" in emit_compliance(report, "text")
 
 
 def test_a_loss_equal_to_its_limit_passes(base_cfg):
