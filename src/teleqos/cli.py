@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import replace
 
 from . import simulator, units, validation
-from .scenario import ScenarioConfig, ScenarioError, load_scenario
+from .scenario import ScenarioConfig, ScenarioSemanticError, load_scenario
 from .units import UnitError
 
 EXIT_OK = 0
@@ -136,7 +136,7 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
 
     adaptive = [f for f in config.flows if f.kind == "adaptive"]
     if not adaptive:
-        raise ScenarioError("rates: the scenario has no adaptive flow")
+        raise ScenarioSemanticError("rates: the scenario has no adaptive flow")
     flow = adaptive[0]
     write_out = _output(args.out)
     sim = simulator.build_simulator(config)

@@ -33,7 +33,15 @@ import math
 from dataclasses import dataclass
 
 
-class InvalidParams(ValueError):
+class ScenarioError(ValueError):
+    """A configuration teleqos cannot analyze or run."""
+
+
+class ScenarioSemanticError(ScenarioError):
+    """A well-formed configuration whose values are inconsistent or out of range."""
+
+
+class InvalidParams(ScenarioSemanticError):
     """Raised when inputs violate a model precondition."""
 
 
@@ -181,6 +189,12 @@ class QosSpec:
     haptic: MediaQos = MediaQos(delay=0.030, jitter=0.010, loss=0.10)
     audio: MediaQos = MediaQos(delay=0.150, jitter=0.030, loss=0.01)
     video: MediaQos = MediaQos(delay=0.400, jitter=0.030, loss=0.01)
+
+    def __post_init__(self) -> None:
+        for media, limits in vars(self).items():
+            for key, value in vars(limits).items():
+                if value < 0:
+                    raise InvalidParams(f"{media}_{key} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)

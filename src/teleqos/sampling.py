@@ -35,11 +35,11 @@ ZERO_REF_EPS = 1e-6     # significance threshold against a zero reference
 DEADBAND_OFFSETS = 16   # the deadband tests every sample against this many next ones at once
 
 
-class InvalidDeadband(ValueError):
+class InvalidDeadband(InvalidSignalSpec):
     pass
 
 
-class EmptyStream(ValueError):
+class EmptyStream(InvalidSignalSpec):
     pass
 
 

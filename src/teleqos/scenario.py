@@ -46,14 +46,10 @@ from numbers import Real
 from typing import Any, Callable, NamedTuple
 
 from . import units
-from .model import AvMuxSpec, InvalidParams, NetworkParams, QosSpec
+from .model import AvMuxSpec, NetworkParams, QosSpec, ScenarioError, ScenarioSemanticError
 
 FLOW_KINDS = ("tcp", "cbr", "telehaptic", "adaptive")
 DEFAULT_HEADER = 87.0   # header + haptic payload of a significant packet, bytes
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 class ScenarioParseError(ScenarioError):
@@ -62,11 +58,7 @@ class ScenarioParseError(ScenarioError):
         self.line = line
 
 
-class ScenarioSemanticError(ScenarioError):
-    pass
-
-
-class InvalidSignalSpec(ValueError):
+class InvalidSignalSpec(ScenarioSemanticError):
     pass
 
 
@@ -303,15 +295,13 @@ def _build(cls, section: str, values: dict):
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
             raise ScenarioSemanticError(f"[{section}] is missing required key {f.name!r}")
-    try:
-        return cls(**values)
-    except (InvalidParams, InvalidSignalSpec) as exc:
-        raise ScenarioSemanticError(str(exc)) from exc
+    return cls(**values)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text; raises ScenarioParseError (with line number) on
-    malformed input and ScenarioSemanticError on inconsistent configurations."""
+    malformed input and ScenarioSemanticError, a value type's own error
+    included, on inconsistent configurations."""
     sections = _read_sections(text)
     if "network" not in sections:
         raise ScenarioSemanticError("missing [network] section")

@@ -1,16 +1,27 @@
-"""Property test of the command line: whatever arguments and scenario text
-reach `main`, it returns a documented exit code, and it reports a failure
-in one `teleqos:` line, never a traceback."""
+"""Property tests of the command line and of the library under it: whatever
+arguments and scenario text reach `main`, it returns a documented exit
+code, and it reports a failure in one `teleqos:` line, never a traceback;
+whatever scenario text and sweep reach the library's entry points, the
+only error they raise is a `ScenarioError`."""
 
 import io
 import re
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from teleqos import baseline_text
+from teleqos import (
+    ScenarioError,
+    baseline_text,
+    build_simulator,
+    haptic_spec_of,
+    parse_scenario,
+    qos_check,
+    run_validation,
+)
 from teleqos.cli import main
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -96,3 +107,29 @@ def test_main_returns_a_documented_code_and_at_most_one_line(root, data):
     assert code in EXIT_CODES
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("teleqos: ")), lines
+
+
+# sweep values in B/s: zero, a rate below the telehaptic one, rates on both
+# sides of the 6 Mbps link, and numbers no rate may take
+SWEEP_VALUES = [0.0, 1.0, 125e3, 375e3, 750e3, 1e6, -1.0, float("inf"), float("nan"), 1e300]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(st.sampled_from([PLAIN, ADAPTIVE]), scenario_texts()), tcp=st.booleans(),
+       var=st.sampled_from(["R", "mu"]),
+       grid=st.lists(st.sampled_from(SWEEP_VALUES), min_size=1, max_size=3),
+       nacks=st.lists(st.integers(0, 3), min_size=1, max_size=2))
+def test_library_raises_only_scenario_errors(text, tcp, var, grid, nacks):
+    # a shipped scenario or a mutant, with or without its TCP flow; no engine run
+    try:
+        config = parse_scenario(text)
+        if not tcp:
+            config = replace(config, flows=tuple(f for f in config.flows if f.kind != "tcp"))
+    except ScenarioError:
+        return
+    with suppress(ScenarioError):
+        qos_check(config.net, haptic_spec_of(config), config.qos, config.mux)
+    with suppress(ScenarioError):
+        build_simulator(config)
+    with suppress(ScenarioError):
+        run_validation(config, var, grid, nack_grid=tuple(nacks), simulate=False)

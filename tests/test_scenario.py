@@ -8,10 +8,12 @@ import pytest
 from teleqos import (
     AvMuxSpec,
     FlowSpec,
+    InvalidParams,
     MediaQos,
     NetworkParams,
     QosSpec,
     ScenarioConfig,
+    ScenarioError,
     ScenarioParseError,
     ScenarioSemanticError,
     SignalSpec,
@@ -19,7 +21,9 @@ from teleqos import (
     parse_scenario,
     render_scenario,
 )
-from teleqos.scenario import DEFAULT_HEADER
+from teleqos.sampling import EmptyStream, InvalidDeadband
+from teleqos.scenario import DEFAULT_HEADER, InvalidSignalSpec
+from teleqos.units import UnitError
 
 MBPS = 1e6 / 8.0
 
@@ -371,24 +375,40 @@ def test_render_leaves_out_zero_phase_and_default_header(base_net):
     assert "signal = contact-burst\namplitude = 1.0\nsignal_seed = 0\n" in text
 
 
-# a value type's own check, reported as a ScenarioSemanticError with its message
+# a value type's own check raises its own class, a ScenarioSemanticError
 VALUE_ERRORS = [
-    ("mu = 6 Mbps", "mu = 0 Mbps", "link capacity must be positive, got 0.0"),
-    ("buf = 14 kB", "buf = 0 B", "queue capacity must be positive, got 0.0"),
-    ("n_ack = 1", "n_ack = 0", "cumulative-ACK factor must be >= 1, got 0"),
-    ("f_v = 25 Hz", "f_v = 0 Hz", "mux parameters must be positive"),
-    ("amplitude = 2.5", "signal = sawtooth", "unknown signal kind 'sawtooth'"),
-    ("amplitude = 2.5", "amplitude = -1", "amplitude must be finite and >= 0"),
+    ("mu = 6 Mbps", "mu = 0 Mbps", "link capacity must be positive, got 0.0", InvalidParams),
+    ("buf = 14 kB", "buf = 0 B", "queue capacity must be positive, got 0.0", InvalidParams),
+    ("n_ack = 1", "n_ack = 0", "cumulative-ACK factor must be >= 1, got 0", InvalidParams),
+    ("f_v = 25 Hz", "f_v = 0 Hz", "mux parameters must be positive", InvalidParams),
+    ("amplitude = 2.5", "signal = sawtooth", "unknown signal kind 'sawtooth'", InvalidSignalSpec),
+    ("amplitude = 2.5", "amplitude = -1", "amplitude must be finite and >= 0", InvalidSignalSpec),
+    ("haptic_delay = 25 ms", "haptic_delay = -25 ms", "haptic_delay must be >= 0, got -0.025",
+     InvalidParams),
+    ("haptic_delay = 25 ms", "audio_jitter = -1 ms", "audio_jitter must be >= 0, got -0.001",
+     InvalidParams),
+    ("haptic_delay = 25 ms", "video_loss = -1%", "video_loss must be >= 0, got -0.01",
+     InvalidParams),
 ]
 
 
-@pytest.mark.parametrize("old, new, message", VALUE_ERRORS)
-def test_value_type_check_is_a_semantic_error(old, new, message):
+@pytest.mark.parametrize("old, new, message, error", VALUE_ERRORS)
+def test_value_type_check_is_a_semantic_error(old, new, message, error):
     assert old in ERROR_BASE
     with pytest.raises(ScenarioSemanticError) as info:
         parse_scenario(ERROR_BASE.replace(old, new, 1))
-    assert type(info.value) is ScenarioSemanticError
+    assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("error", [InvalidParams, InvalidSignalSpec, InvalidDeadband, EmptyStream])
+def test_value_type_errors_derive_from_the_semantic_error(error):
+    assert issubclass(error, ScenarioSemanticError)
+
+
+def test_a_unit_error_is_no_scenario_error():
+    # parse_scenario reports quantity syntax as a line-numbered ScenarioParseError
+    assert not issubclass(UnitError, ScenarioError)
 
 
 LAYOUT_ERRORS = [

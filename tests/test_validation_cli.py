@@ -19,7 +19,7 @@ from teleqos import (
     simulator,
 )
 from teleqos.cli import main
-from teleqos.model import ConditionResult, InvalidParams, qos_check
+from teleqos.model import ConditionResult, InvalidParams, av_delay_bounds, qos_check
 from teleqos.scenario import ScenarioSemanticError
 from teleqos.validation import (
     HUMAN_UNITS,
@@ -128,6 +128,38 @@ def test_run_validation_checks_every_point_before_running_any(base_cfg, monkeypa
     monkeypatch.setattr(simulator, "run", _no_run)
     with pytest.raises(error, match=message):
         run_validation(base_cfg, "R", [2 * MBPS, 3 * MBPS, 6 * MBPS], nack_grid=(1, 2), jobs=jobs)
+
+
+def _without_tcp(cfg):
+    return replace(cfg, flows=tuple(f for f in cfg.flows if f.kind != "tcp"))
+
+
+def _analyze(text):
+    cfg = parse_scenario(text)
+    return qos_check(cfg.net, haptic_spec_of(cfg), cfg.qos, cfg.mux)
+
+
+# a library call outside parse_scenario meets a value type's own check,
+# which is a ScenarioSemanticError by its class
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda cfg: run_validation(_without_tcp(cfg), "R", [2 * MBPS, 6 * MBPS],
+                                            simulate=False),
+                 "aggregate CBR rate 750000.0 B/s >= link capacity 750000.0 B/s", id="R-at-mu"),
+    pytest.param(lambda cfg: run_validation(cfg, "mu", [0.0], simulate=False),
+                 "link capacity must be positive, got 0.0", id="mu-0"),
+    pytest.param(lambda cfg: run_validation(_without_tcp(cfg), "mu", [1.0], simulate=False),
+                 "aggregate CBR rate 375000.0 B/s >= link capacity 1.0 B/s", id="mu-1Bps"),
+    pytest.param(lambda cfg: run_validation(cfg, "R", [3 * MBPS], nack_grid=(0,), simulate=False),
+                 "cumulative-ACK factor must be >= 1, got 0", id="nack-0"),
+    pytest.param(lambda cfg: _analyze(baseline_text() + "\n[qos]\nhaptic_delay = -5 ms\n"),
+                 "haptic_delay must be >= 0, got -0.005", id="negative-deadline"),
+    pytest.param(lambda cfg: av_delay_bounds(cfg.mux, 1e-3, -0.005),
+                 "haptic deadline must be >= 0, got -0.005", id="av-delay-bounds"),
+])
+def test_library_reports_a_bad_value_as_a_semantic_error(base_cfg, call, message):
+    with pytest.raises(ScenarioSemanticError) as info:
+        call(base_cfg)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -281,6 +313,21 @@ def test_cli_analyze_qos_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "haptic_delay   FAIL" in out
+
+
+@pytest.mark.parametrize("line, message", [
+    ("haptic_delay = -5 ms", "haptic_delay must be >= 0, got -0.005"),
+    ("haptic_jitter = -1 ms", "haptic_jitter must be >= 0, got -0.001"),
+    ("haptic_loss = -1%", "haptic_loss must be >= 0, got -0.01"),
+])
+@pytest.mark.parametrize("mux", [True, False], ids=["mux", "no-mux"])
+def test_cli_analyze_rejects_a_negative_qos_limit(tmp_path, capsys, line, message, mux):
+    text = baseline_text() + f"\n[qos]\n{line}\n"
+    if not mux:
+        text = text.replace("[mux]\ns_a = 160 B\ns_m = 58 B\nf_v = 25 Hz\n", "")
+        assert "[mux]" not in text
+    assert main(["analyze", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr() == ("", f"teleqos: {message}\n")
 
 
 def test_cli_input_error(tmp_path, capsys):
