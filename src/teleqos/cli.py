@@ -107,15 +107,11 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
 
 
 def _cmd_validate(config: ScenarioConfig, args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     var, grid = _parse_sweep(args.sweep)
     try:
         nacks = tuple(int(n) for n in args.nack.split(","))
     except ValueError:
         raise ValueError(f"--nack must be a comma list of integers, got {args.nack!r}") from None
-    if min(nacks) < 1:
-        raise ValueError(f"--nack: cumulative-ACK factor must be >= 1, got {min(nacks)}")
     write_out = _output(args.out)
     rows = validation.run_validation(
         config, var, grid,

@@ -378,8 +378,8 @@ def m_tcp_max(net: NetworkParams, cbr: CbrAggregate, interval: float) -> int:
 
         m_tcp = n + 1 + n * (1 + floor((T - n*S/mu) / (n*S/(mu-R)))) * [T > n*S/mu]
     """
-    if interval <= 0:
-        raise InvalidParams(f"interval must be positive, got {interval}")
+    if not 0 < interval < math.inf:
+        raise InvalidParams(f"interval must be positive and finite, got {interval}")
     cbr.alpha(net)  # validates R < mu
     n = net.n_ack
     boundary_gap = n * net.s_tcp / net.mu
@@ -430,8 +430,10 @@ def av_delay_bounds(mux: AvMuxSpec, t_h: float, haptic_deadline: float) -> tuple
         d_aud = deadline + (s_a/s_m) * T_h
         d_vid = deadline + 1/f_v
     """
-    if t_h <= 0:
-        raise InvalidParams(f"inter-packet gap must be positive, got {t_h}")
+    if not 0 < t_h < math.inf:
+        raise InvalidParams(f"inter-packet gap must be positive and finite, got {t_h}")
+    if not math.isfinite(haptic_deadline):
+        raise InvalidParams(f"haptic deadline must be finite, got {haptic_deadline}")
     if haptic_deadline < 0:
         raise InvalidParams(f"haptic deadline must be >= 0, got {haptic_deadline}")
     d_aud = haptic_deadline + (mux.s_a / mux.s_m) * t_h

@@ -259,14 +259,19 @@ def vh_mux(flags: np.ndarray, video_rate: float, header: float) -> MuxStream:
 def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) -> RateSeries:
     """Sliding-window byte rate of a packet stream, plus peak and long-term mean.
 
-    packets are (time, size) pairs in any order, as a sequence or an (N, 2)
-    array; they are taken in order of time, then size.
+    packets are finite (time, size) pairs with sizes >= 0, in any order, as
+    a sequence or an (N, 2) array; they are taken in order of time, then
+    size. Anything else raises InvalidSignalSpec.
     """
     if len(packets) == 0:
         raise EmptyStream("cannot compute a rate series for an empty stream")
     if not 0 < window < math.inf:
         raise InvalidSignalSpec(f"window must be finite and positive, got {window}")
     pairs = np.array(packets, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidSignalSpec(f"packets must have shape (N, 2), got {pairs.shape}")
+    if not (np.isfinite(pairs).all() and (pairs[:, 1] >= 0).all()):
+        raise InvalidSignalSpec("packets must be finite (time, size) pairs with sizes >= 0")
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]  # by time, then size
     times = pairs[:, 0]
     sizes = pairs[:, 1]

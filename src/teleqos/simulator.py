@@ -410,17 +410,17 @@ class _Source:
     size: int = 0
     gap_ns: int = 0
     phase_ns: int = 0
-    schedule: tuple | None = None  # adaptive: _adaptive_schedule's columns, before the phase
+    schedule: tuple | None = None  # adaptive: _adaptive_schedule's five columns, times before the phase
 
     def arrivals(self, flow: int) -> Iterator[tuple[int, int, int, int, dict]]:
         """A fresh time-ordered iterator of an open-loop source's packets as
         flow `flow`: the (t_ns, flow, seq, size, breakdown) records run()
         carries to delivery, seq from 0; breakdown maps media to bytes."""
         if self.schedule is not None:  # an adaptive source
-            times, sizes, keys, header = self.schedule
-            # a memoryview yields each column's Python numbers without a list of them
-            breakdowns = ({"haptic": header, "video": -v} if v < 0 else {"header": header, "video": v}
-                          for v in memoryview(keys))
+            times, sizes, significant, video, header = self.schedule
+            # a memoryview yields each column's Python values without a list of them
+            breakdowns = ({"haptic" if sig else "header": header, "video": v}
+                          for sig, v in zip(memoryview(significant), memoryview(video)))
             return zip(map(self.phase_ns.__add__, memoryview(times)), repeat(flow), count(),
                        memoryview(sizes), breakdowns)
         breakdown = {"haptic" if self.kind == "telehaptic" else "cbr-cross": self.size}
@@ -438,9 +438,9 @@ class Simulator:
 
 
 def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
-    """The adaptive flow's packets within the duration as int64 columns of
-    emission times (ns) and sizes (B), the make-up key of each packet (its
-    video bytes, negated when it carries a haptic sample) and the header."""
+    """The adaptive flow's packets within the duration as columns: int64
+    emission times (ns) and sizes (B), the multiplexer's significance flags
+    and video bytes, then the header every packet carries."""
     # numpy and sampling load only for a scenario that synthesizes a signal
     import numpy as np
 
@@ -461,7 +461,7 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
             f"make a {sizes.max():g} B packet; packet sizes must stay below 2^63 B"
         )
     sizes = sizes.astype(np.int64)
-    return t_ns, sizes, np.where(stream.significant[keep], -video, video), header
+    return t_ns, sizes, stream.significant[keep], video, header
 
 
 def build_simulator(config: ScenarioConfig) -> Simulator:

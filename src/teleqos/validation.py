@@ -154,11 +154,11 @@ def run_validation(
     """One ValidationRow per (grid value, n_ack), sorted by (control, nack);
     duration and warmup, where given, replace the scenario's run window.
     Every point's closed forms are evaluated, and with simulate on its
-    simulator built, before any point runs; a point they reject raises
-    ScenarioSemanticError. jobs > 1 runs the points in that many
-    processes, at most one per point."""
+    simulator built, before any point runs; a point they reject, like a
+    jobs below 1, raises ScenarioSemanticError. jobs > 1 runs the points
+    in that many processes, at most one per point."""
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ScenarioSemanticError(f"jobs must be >= 1, got {jobs}")
     window = {"duration": duration, "warmup": warmup}
     config = replace(config, **{key: value for key, value in window.items() if value is not None})
     points = []

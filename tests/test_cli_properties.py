@@ -118,8 +118,9 @@ SWEEP_VALUES = [0.0, 1.0, 125e3, 375e3, 750e3, 1e6, -1.0, float("inf"), float("n
 @given(text=st.one_of(st.sampled_from([PLAIN, ADAPTIVE]), scenario_texts()), tcp=st.booleans(),
        var=st.sampled_from(["R", "mu"]),
        grid=st.lists(st.sampled_from(SWEEP_VALUES), min_size=1, max_size=3),
-       nacks=st.lists(st.integers(0, 3), min_size=1, max_size=2))
-def test_library_raises_only_scenario_errors(text, tcp, var, grid, nacks):
+       nacks=st.lists(st.integers(0, 3), min_size=1, max_size=2),
+       jobs=st.integers(-1, 2))
+def test_library_raises_only_scenario_errors(text, tcp, var, grid, nacks, jobs):
     # a shipped scenario or a mutant, with or without its TCP flow; no engine run
     try:
         config = parse_scenario(text)
@@ -132,4 +133,4 @@ def test_library_raises_only_scenario_errors(text, tcp, var, grid, nacks):
     with suppress(ScenarioError):
         build_simulator(config)
     with suppress(ScenarioError):
-        run_validation(config, var, grid, nack_grid=tuple(nacks), simulate=False)
+        run_validation(config, var, grid, nack_grid=tuple(nacks), simulate=False, jobs=jobs)

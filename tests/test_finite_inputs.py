@@ -160,7 +160,7 @@ def test_rate_window_rejects_non_finite(window, tmp_path, capsys, monkeypatch):
      "--nack must be a comma list of integers, got 'x'"),
     ("[flow.media]\nkind = telehaptic\nrate = 1.096 Mbps\npacket = 137 B\n",
      ["validate", "--sweep", "mu=6Mbps", "--nack", "2,0"],
-     "--nack: cumulative-ACK factor must be >= 1, got 0"),
+     "cumulative-ACK factor must be >= 1, got 0"),
 ])
 def test_cli_names_a_bad_seed_or_nack(flows, argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(simulator, "build_simulator", _no_run)

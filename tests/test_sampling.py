@@ -407,3 +407,19 @@ def test_instantaneous_rate_empty_stream():
     with pytest.raises(EmptyStream):
         instantaneous_rate(np.empty((0, 2)))
 
+
+SHAPE = r"^packets must have shape \(N, 2\), got "
+PAIRS = r"^packets must be finite \(time, size\) pairs with sizes >= 0$"
+
+
+@pytest.mark.parametrize("packets, message", [
+    pytest.param([1.0, 2.0, 3.0], SHAPE + r"\(3,\)$", id="flat"),
+    pytest.param([(0.0,)], SHAPE + r"\(1, 1\)$", id="no-size"),
+    pytest.param(np.zeros((4, 3)), SHAPE + r"\(4, 3\)$", id="three-columns"),
+    pytest.param([(0.0, 1.0), (math.nan, 1.0)], PAIRS, id="nan-time"),
+    pytest.param([(0.0, 1.0), (0.001, math.inf)], PAIRS, id="inf-size"),
+    pytest.param([(0.0, 1.0), (0.001, -1.0)], PAIRS, id="negative-size"),
+])
+def test_instantaneous_rate_rejects_a_bad_packet(packets, message):
+    with pytest.raises(InvalidSignalSpec, match=message):
+        instantaneous_rate(packets)

@@ -324,6 +324,17 @@ def test_adaptive_mean_rate_sums_bytes_exactly(base_net):
         build_simulator(cfg)
 
 
+def test_a_significant_packet_without_video_bytes_counts_as_haptic(base_net):
+    # 1e-321 B/s of video rounds to 0 B per tick, so a significant packet
+    # carries its header and no video; its bytes are still haptic
+    vh = FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=1e-321,
+                  signal=SignalSpec(kind="contact-burst"))
+    sim = build_simulator(ScenarioConfig(net=base_net, flows=(vh,), duration=2.0, warmup=0.0))
+    first = next(sim.sources[0].arrivals(0))[4]
+    assert first == {"haptic": 87.0, "video": 0.0}
+    assert "haptic" in run(sim).metrics["vh"].media_bytes
+
+
 def test_determinism_byte_identical_traces(base_scenario):
     cfg = replace(base_scenario, duration=5.0, warmup=1.0)
     t1 = run(build_simulator(cfg), record=True)

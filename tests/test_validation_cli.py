@@ -19,7 +19,15 @@ from teleqos import (
     simulator,
 )
 from teleqos.cli import main
-from teleqos.model import ConditionResult, InvalidParams, av_delay_bounds, qos_check
+from teleqos.model import (
+    CbrAggregate,
+    ConditionResult,
+    InvalidParams,
+    av_delay_bounds,
+    cbr_jitter_max,
+    m_tcp_max,
+    qos_check,
+)
 from teleqos.scenario import ScenarioSemanticError
 from teleqos.validation import (
     HUMAN_UNITS,
@@ -155,6 +163,16 @@ def _analyze(text):
                  "haptic_delay must be >= 0, got -0.005", id="negative-deadline"),
     pytest.param(lambda cfg: av_delay_bounds(cfg.mux, 1e-3, -0.005),
                  "haptic deadline must be >= 0, got -0.005", id="av-delay-bounds"),
+    pytest.param(lambda cfg: run_validation(cfg, "R", [3 * MBPS], simulate=False, jobs=0),
+                 "jobs must be >= 1, got 0", id="jobs-0"),
+    *(pytest.param(lambda cfg, f=f, t=t: f(cfg.net, CbrAggregate(0.0), t),
+                   f"interval must be positive and finite, got {t}", id=f"{f.__name__}-{t}")
+      for f in (m_tcp_max, cbr_jitter_max) for t in (math.inf, math.nan)),
+    pytest.param(lambda cfg: av_delay_bounds(cfg.mux, math.nan, 0.05),
+                 "inter-packet gap must be positive and finite, got nan", id="av-gap-nan"),
+    *(pytest.param(lambda cfg, d=d: av_delay_bounds(cfg.mux, 1e-3, d),
+                   f"haptic deadline must be finite, got {d}", id=f"av-deadline-{d}")
+      for d in (math.inf, math.nan)),
 ])
 def test_library_reports_a_bad_value_as_a_semantic_error(base_cfg, call, message):
     with pytest.raises(ScenarioSemanticError) as info:
@@ -488,7 +506,7 @@ def test_cli_validate_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs
     monkeypatch.setattr(simulator, "run", _no_run)
     path = write_cfg(tmp_path, baseline_text())
     assert main(["validate", "--config", path, "--sweep", "R=3Mbps", "--jobs", jobs]) == 2
-    assert capsys.readouterr().err == f"teleqos: --jobs must be >= 1, got {jobs}\n"
+    assert capsys.readouterr().err == f"teleqos: jobs must be >= 1, got {jobs}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
