@@ -143,7 +143,7 @@ def deadband_filter(samples: np.ndarray, k: float) -> np.ndarray:
     """
     if not 0.0 < k < 1.0:
         raise InvalidDeadband(f"deadband fraction must be in (0, 1), got {k}")
-    pts = np.asarray(samples, dtype=float)
+    pts = _as_array(samples, float, "samples")
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or not 1 <= pts.shape[1] <= 3:
@@ -206,6 +206,16 @@ def deadband_filter(samples: np.ndarray, k: float) -> np.ndarray:
     return flags
 
 
+def _as_array(values, dtype: type, what: str) -> np.ndarray:
+    """values as an array of dtype; what numpy cannot convert raises InvalidSignalSpec."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidSignalSpec(
+            f"{what} must form an array of one shape, got a ragged or non-numeric sequence"
+        ) from None
+
+
 def _sum_sq(cols: list[np.ndarray]) -> np.ndarray:
     """Elementwise squared norm, summed axis by axis from the first."""
     total = cols[0] * cols[0]
@@ -235,7 +245,9 @@ def vh_mux(flags: np.ndarray, video_rate: float, header: float) -> MuxStream:
     flush = len(pending) - 1  # quiet ticks per full chunk
     pending = np.array(pending)
 
-    flags = np.asarray(flags, dtype=bool)
+    flags = _as_array(flags, bool, "flags")
+    if flags.ndim != 1:
+        raise InvalidSignalSpec(f"flags must have shape (N,), got {flags.shape}")
     ticks = np.arange(len(flags))
     sig = ticks[flags]
     # a full chunk leaves at every flush-th quiet tick after the last
@@ -267,7 +279,7 @@ def instantaneous_rate(packets: list[tuple[float, float]], window: float = 0.1) 
         raise EmptyStream("cannot compute a rate series for an empty stream")
     if not 0 < window < math.inf:
         raise InvalidSignalSpec(f"window must be finite and positive, got {window}")
-    pairs = np.array(packets, dtype=float)
+    pairs = _as_array(packets, float, "packets")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InvalidSignalSpec(f"packets must have shape (N, 2), got {pairs.shape}")
     if not (np.isfinite(pairs).all() and (pairs[:, 1] >= 0).all()):

@@ -359,15 +359,13 @@ def _cycle_mean(per_cycle: list[dict], flow: str) -> float:
 
 @dataclass
 class Trace:
-    """Simulation output: metrics, cycle data and (with record=True) the raw
-    trace as one CSV text, header first and one line per event, which run()
-    grows in place; None without record=True."""
+    """Simulation output: metrics, cycle data, the end census and (with
+    record=True) the raw CSV trace, header first and one line per event with
+    the queue occupancy after it, grown in place by run(); else None."""
 
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
     csv: str | None
-    queue_min_pw: int | None
-    queue_max_pw: int | None
     in_flight_end: dict[str, int]
 
     def to_csv(self) -> str:
@@ -609,7 +607,6 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     streams = [None if i == tcp_id else src.arrivals(i) for i, src in enumerate(sim.sources)]
     # each flow's latest post-warmup delay; inf makes the first jitter -inf
     last_delay = [math.inf] * len(names)
-    q_min_pw = q_max_pw = None
     last_tcp_drop = None
     cyc = None  # the loss cycle in progress
     cycles: list[CycleRecord] = []  # closed cycles that started past the warmup
@@ -706,11 +703,6 @@ def run(sim: Simulator, record: bool = False) -> Trace:
             if pkt is not None:  # the queue gained or lost a packet; occ is its new occupancy
                 if occ > capacity:
                     raise SimulationError("queue occupancy exceeded capacity")
-                if t >= warmup_ns:
-                    if q_min_pw is None or occ < q_min_pw:
-                        q_min_pw = occ
-                    if q_max_pw is None or occ > q_max_pw:
-                        q_max_pw = occ
                 if cyc is not None:
                     if occ < cyc.q_min:
                         cyc.q_min = occ
@@ -801,7 +793,5 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         metrics=dict(zip(names, metrics)),
         cycles=cycles,
         csv=csv if record else None,
-        queue_min_pw=q_min_pw,
-        queue_max_pw=q_max_pw,
         in_flight_end=dict(zip(names, in_flight)),
     )

@@ -178,13 +178,12 @@ EV_LINK_DONE, EV_ARRIVE, EV_DELIVER, EV_ACK, EV_RTO = range(5)
 
 @dataclass
 class HeapRun:
-    """What the single-heap engine measured; field names match Trace's."""
+    """What the single-heap engine measured: the metrics, cycles, trace text
+    and end census that run() returns in a Trace, under the same names."""
 
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
     csv: str
-    queue_min_pw: int | None
-    queue_max_pw: int | None
     in_flight_end: dict[str, int]
 
 
@@ -206,8 +205,6 @@ class _HeapEngine:
 
         self.names = [f.name for f in cfg.flows]
         self.metrics = [FlowMetrics(flow=name) for name in self.names]
-        self.queue_min_pw: int | None = None
-        self.queue_max_pw: int | None = None
 
         self.tcp_flow = next((i for i, s in enumerate(sim.sources) if s.kind == "tcp"), None)
         self.tcp: TcpSource | None = None
@@ -251,11 +248,6 @@ class _HeapEngine:
 
     def _note_queue(self, t: int) -> int:
         occ = self.queue.occupancy(t)
-        if t >= self.warmup_ns:
-            if self.queue_min_pw is None or occ < self.queue_min_pw:
-                self.queue_min_pw = occ
-            if self.queue_max_pw is None or occ > self.queue_max_pw:
-                self.queue_max_pw = occ
         cyc = self.cur_cycle
         if cyc is not None:
             cyc.q_min = min(cyc.q_min, occ)
@@ -409,8 +401,6 @@ class _HeapEngine:
             metrics=dict(zip(names, self.metrics)),
             cycles=self.cycles,
             csv="".join(self.lines),
-            queue_min_pw=self.queue_min_pw,
-            queue_max_pw=self.queue_max_pw,
             in_flight_end=in_flight,
         )
 

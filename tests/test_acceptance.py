@@ -361,13 +361,13 @@ def test_criterion_8_invariant_suites():
             assert qs[1] <= qs[0] + 1e-6
         cases += 1
 
-    from test_simulator import random_scenario
+    from test_simulator import queue_extremes, random_scenario
 
     sim_cases = 0
     for _ in range(6):
         cfg = random_scenario(rng)
-        trace = run(build_simulator(cfg))
-        assert trace.queue_max_pw <= cfg.net.buf
+        trace = run(build_simulator(cfg), record=True)
+        assert queue_extremes(trace, cfg.effective_warmup)[1] <= cfg.net.buf
         for name, m in trace.metrics.items():
             assert m.created_total == (
                 m.delivered_total + m.dropped_total + trace.in_flight_end[name]

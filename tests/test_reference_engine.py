@@ -2,8 +2,8 @@
 in oracles.py, over seeded random scenarios.
 
 The rule: an engine change lands only if this oracle still agrees, byte for
-byte on the raw trace and exactly on the metrics, the loss cycles, the
-queue extremes and the end census. The scenarios mix n_ack 1 and 2,
+byte on the raw trace, every queue occupancy included, and exactly on the
+metrics, the loss cycles and the end census. The scenarios mix n_ack 1 and 2,
 aggregate fixed loads up to R/mu = 0.95, fractional buffers, adaptive
 flows, and links with a whole number of nanoseconds per byte whose open-loop
 gaps and phases are whole multiples of a service time, so that arrivals,
@@ -82,7 +82,6 @@ def test_engine_matches_the_single_heap_reference(seed):
         pytest.fail(_first_difference(trace.csv, ref.csv))
     assert trace.metrics == ref.metrics
     assert trace.cycles == ref.cycles
-    assert (trace.queue_min_pw, trace.queue_max_pw) == (ref.queue_min_pw, ref.queue_max_pw)
     assert trace.in_flight_end == ref.in_flight_end
 
 

@@ -183,6 +183,14 @@ def test_mux_rejects_a_rate_or_header_that_is_not_positive_and_finite(video_rate
         vh_mux(np.ones(3, dtype=bool), video_rate, header)
 
 
+@pytest.mark.parametrize("flags", [
+    np.ones((3, 2), dtype=bool), np.bool_(True), [[True], [True, False]],
+])
+def test_mux_rejects_flags_that_are_not_one_per_tick(flags):
+    with pytest.raises(InvalidSignalSpec, match="shape"):
+        vh_mux(flags, 50e3, 87.0)
+
+
 @pytest.mark.parametrize("kind", ["contact-burst", "filtered-noise", "sum-of-sinusoids"])
 @pytest.mark.parametrize("duration", [0.0, 4e-4, 9.99e-4, -1.0, math.inf, math.nan])
 def test_synth_rejects_a_duration_without_a_whole_tick(kind, duration):
@@ -200,10 +208,12 @@ def test_deadband_rejects_non_finite_samples(samples):
         deadband_filter(np.array(samples), 0.1)
 
 
-@pytest.mark.parametrize("shape", [(), (4, 2, 3), (5, 4), (5, 0)])
+@pytest.mark.parametrize("shape", [(), (4, 2, 3), (5, 4), (5, 0), None])
 def test_deadband_rejects_samples_without_1_to_3_axes(shape):
+    # None stands for a ragged list, which has no shape at all
+    samples = [[1.0, 2.0], [1.0]] if shape is None else np.ones(shape)
     with pytest.raises(InvalidSignalSpec, match="shape"):
-        deadband_filter(np.ones(shape), 0.1)
+        deadband_filter(samples, 0.1)
 
 
 # the kernels against the per-row reference loops in oracles.py: every
@@ -410,6 +420,7 @@ def test_instantaneous_rate_empty_stream():
 
 SHAPE = r"^packets must have shape \(N, 2\), got "
 PAIRS = r"^packets must be finite \(time, size\) pairs with sizes >= 0$"
+RAGGED = r"^packets must form an array of one shape, got a ragged or non-numeric sequence$"
 
 
 @pytest.mark.parametrize("packets, message", [
@@ -419,6 +430,8 @@ PAIRS = r"^packets must be finite \(time, size\) pairs with sizes >= 0$"
     pytest.param([(0.0, 1.0), (math.nan, 1.0)], PAIRS, id="nan-time"),
     pytest.param([(0.0, 1.0), (0.001, math.inf)], PAIRS, id="inf-size"),
     pytest.param([(0.0, 1.0), (0.001, -1.0)], PAIRS, id="negative-size"),
+    pytest.param([(0.0, 1.0), (1.0,)], RAGGED, id="ragged"),
+    pytest.param([(0.0, 1.0), ("later", 1.0)], RAGGED, id="text"),
 ])
 def test_instantaneous_rate_rejects_a_bad_packet(packets, message):
     with pytest.raises(InvalidSignalSpec, match=message):

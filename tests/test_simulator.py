@@ -178,8 +178,8 @@ def test_conservation_capacity_work_conservation():
     rng = random.Random(42)
     for _ in range(12):
         cfg = random_scenario(rng)
-        trace = run(build_simulator(cfg))
-        assert trace.queue_max_pw is not None and trace.queue_max_pw <= cfg.net.buf
+        trace = run(build_simulator(cfg), record=True)
+        assert queue_extremes(trace, cfg.effective_warmup)[1] <= cfg.net.buf
         for name, m in trace.metrics.items():
             assert m.created_total == (
                 m.delivered_total + m.dropped_total + trace.in_flight_end[name]
@@ -229,12 +229,27 @@ def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch, record):
         run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)), record=record)
 
 
+def _rows(trace):
+    """Each row of a recorded trace as (time_ns, event, flow, queue_bytes)."""
+    for row in trace.to_csv().splitlines()[1:]:
+        t, event, flow, _seq, _size, occ = row.split(",")[:6]
+        yield int(t), event, flow, int(occ)
+
+
 def _events_at(trace) -> dict[int, list[tuple[str, str]]]:
     by_time: dict[int, list[tuple[str, str]]] = {}
-    for row in trace.to_csv().splitlines()[1:]:
-        t, event, flow = row.split(",")[:3]
-        by_time.setdefault(int(t), []).append((event, flow))
+    for t, event, flow, _occ in _rows(trace):
+        by_time.setdefault(t, []).append((event, flow))
     return by_time
+
+
+def queue_extremes(trace, warmup: float) -> tuple[int, int]:
+    """Least and greatest queue occupancy, bytes, that a recorded trace
+    shows after an enqueue or dequeue at or after `warmup` seconds."""
+    start = round(warmup * 1e9)
+    occs = [occ for t, event, _flow, occ in _rows(trace)
+            if t >= start and event in ("enqueue", "dequeue")]
+    return min(occs), max(occs)
 
 
 def test_equal_instant_arrivals_go_in_flow_order(base_net):
@@ -270,7 +285,7 @@ def test_link_completion_precedes_arrival_at_the_same_instant():
             together += 1
             assert kinds.index("dequeue") < kinds.index("send") < kinds.index("enqueue")
     assert together == 1000  # t = 0.1, 0.2, ..., 100 ms
-    assert trace.queue_max_pw == 100
+    assert queue_extremes(trace, 0.0)[1] == 100
 
 
 @pytest.mark.parametrize("mu, packet", [(6 * MBPS, 0.3), (1e10, 1.0)])
@@ -427,8 +442,8 @@ def test_trace_csv_needs_record(base_scenario):
 
 def test_queue_never_empties_in_steady_state(base_scenario):
     # full-utilization regime: B > 2*mu*tau and a live TCP source
-    trace = run(build_simulator(replace(base_scenario, warmup=15.0)))
-    assert trace.queue_min_pw > 0
+    trace = run(build_simulator(replace(base_scenario, warmup=15.0)), record=True)
+    assert queue_extremes(trace, 15.0)[0] > 0
 
 
 def test_steady_state_cycles(base_scenario):
@@ -597,8 +612,8 @@ def test_fractional_buffer_keeps_occupancy_and_delay_bounds():
         FlowSpec(name="cross", kind="cbr", rate=0.448 * mu - media, packet=150.0),
     )
     cfg = ScenarioConfig(net=net, flows=flows, duration=40.0, warmup=15.0, seed=3)
-    trace = run(build_simulator(cfg))
-    assert trace.queue_max_pw <= net.buf
+    trace = run(build_simulator(cfg), record=True)
+    assert queue_extremes(trace, cfg.effective_warmup)[1] <= net.buf
     for m in trace.metrics.values():
         assert m.max_delay <= net.tau + net.buf / net.mu
 
