@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from itertools import count
+from typing import TextIO
 
 from . import simulator, units, validation
 from .scenario import ScenarioConfig, ScenarioSemanticError, load_scenario
@@ -26,12 +31,11 @@ EXIT_ENGINE = 3
 
 
 def _output(path: str | None) -> Callable[[str], object]:
-    """A function that writes a command's text to the file at path, or to
+    """A function that writes a command's report to the file at path, or to
     stdout without a path. The file opens here, without truncation, so a
     path that cannot be written fails before the command's work, and the
-    file keeps its contents until the text replaces them. The text goes to
-    the file in 1 MiB slices, so only one slice at a time is encoded and a
-    35 MB trace is never held twice."""
+    file keeps its contents until the report replaces them. A report is a
+    few kB; the raw trace never comes this way (see _trace_file)."""
     if not path:
         return lambda text: sys.stdout.write(text)  # looked up when written
     with open(path, "a", encoding="utf-8"):
@@ -39,10 +43,46 @@ def _output(path: str | None) -> Callable[[str], object]:
 
     def write(text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(0, len(text), 1 << 20):
-                fh.write(text[i:i + (1 << 20)])
+            fh.write(text)
 
     return write
+
+
+@contextmanager
+def _trace_file(path: str) -> Iterator[TextIO]:
+    """The text file simulate's trace streams into while the engine runs.
+
+    A target that exists and is not a regular file (a FIFO, a device) takes
+    the stream directly. Otherwise the target must open for appending, as
+    _output checks, and the stream goes to a new file created beside the
+    file the path names, symlinks resolved; that file replaces the target
+    only when the block ends without an error, and is removed when it ends
+    with one, so a failed run leaves the target as it was."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True  # a missing file, or a symlink to one, is created
+    if not regular:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    with open(path, "a", encoding="utf-8"):
+        pass
+    target = os.path.realpath(path)
+    for n in count():
+        tmp = os.path.join(os.path.dirname(target), f".teleqos-{os.getpid()}-{n}.tmp")
+        try:
+            fh = open(tmp, "x", encoding="utf-8")  # never an existing file
+            break
+        except FileExistsError:
+            pass
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load(args) -> ScenarioConfig:
@@ -64,10 +104,12 @@ def _cmd_simulate(config: ScenarioConfig, args) -> int:
     if any(f.kind == "telehaptic" for f in config.flows):
         spec = validation.haptic_spec_of(config)  # its input errors come before the run
     sim = simulator.build_simulator(config)
-    # both outputs open before the run, so a bad path costs no simulation
-    write_trace = args.trace and _output(args.trace)
-    write_out = _output(args.out)
-    trace = simulator.run(sim, record=bool(args.trace))
+    # both outputs open before the run, so a bad path costs no simulation;
+    # the trace replaces its file only if the compliance check passes too
+    with _trace_file(args.trace) if args.trace else nullcontext() as sink:
+        write_out = _output(args.out)
+        trace = simulator.run(sim, record=sink)
+        report = None if spec is None else validation.compliance_from_simulation(config, trace)
 
     lines = []
     for name, m in trace.metrics.items():
@@ -86,12 +128,9 @@ def _cmd_simulate(config: ScenarioConfig, args) -> int:
         )
     text = "\n".join(lines) + "\n"
     code = EXIT_OK
-    if spec is not None:
-        report = validation.compliance_from_simulation(config, trace)
+    if report is not None:
         text += validation.emit_compliance(report, args.format)
         code = EXIT_OK if report.overall else EXIT_QOS_FAIL
-    if write_trace:  # only once every check has passed, so a failed run keeps the old file
-        write_trace(trace.to_csv())
     write_out(text)
     return code
 

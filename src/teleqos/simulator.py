@@ -38,6 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush, heapreplace
 from itertools import count, repeat
+from typing import TextIO
 
 from .scenario import FlowSpec, ScenarioConfig, ScenarioSemanticError
 
@@ -47,9 +48,9 @@ RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
 # the trace record format: its event names and its header
 REC_EVENTS = ("send", "enqueue", "drop", "dequeue", "deliver", "ack", "window-change")
 REC_HEADER = "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
-# lines joined into one string at a time while recording and appended to
-# the trace text (a block may run a few lines over, since it is checked
-# once per event), so a long run never holds one object per event
+# lines joined into one string at a time while recording and written to
+# the sink (a block may run a few lines over, since it is checked once per
+# event), so a recording run holds at most one block of the trace
 REC_BLOCK = 16384
 
 
@@ -359,20 +360,26 @@ def _cycle_mean(per_cycle: list[dict], flow: str) -> float:
 
 @dataclass
 class Trace:
-    """Simulation output: metrics, cycle data, the end census and (with
-    record=True) the raw CSV trace, header first and one line per event with
-    the queue occupancy after it, grown in place by run(); else None."""
+    """Simulation output: metrics, cycle data and the end census. The raw
+    trace is not kept here; run(sim, record=sink) writes it to the sink as
+    it goes."""
 
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
-    csv: str | None
     in_flight_end: dict[str, int]
 
-    def to_csv(self) -> str:
-        """Raw trace as CSV (requires record=True at run time)."""
-        if self.csv is None:
-            raise SimulationError("trace was run without record=True")
-        return self.csv
+    @staticmethod
+    def to_csv(lines: list[str], out: TextIO) -> str:
+        """Join lines into one block of the raw trace, write the block to
+        out and clear lines; returns the block. run() writes every block
+        through this function, which it looks up when it starts. The name
+        is kept for perfbench's `simulator.to_csv` span, which times these
+        writes and sums the returned lengths into `simulator.trace_bytes`,
+        until a benchmark change renames that span (ROADMAP item 1)."""
+        block = "".join(lines)
+        out.write(block)
+        lines.clear()
+        return block
 
 
 def extract_cycles(trace: Trace) -> CycleStats:
@@ -544,14 +551,17 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
 # the event loop
 
 
-def run(sim: Simulator, record: bool = False) -> Trace:
+def run(sim: Simulator, record: TextIO | None = None) -> Trace:
     """Execute the simulation deterministically for the scenario's duration.
 
-    Metrics cover only events past the scenario's effective warmup; the
-    raw trace (record=True, one CSV line per event) covers everything and
-    is kept as one text, which each joined block extends in place, so the
-    run never holds a second copy of it. Each line is formatted where its
-    event happens.
+    Metrics cover only events past the scenario's effective warmup. With
+    record, a text sink such as an open file or an io.StringIO, the run
+    writes the raw trace to it as it goes: REC_HEADER, then one CSV line per
+    event with the queue occupancy after it, covering the warmup too. Each
+    line is formatted where its event happens, and every REC_BLOCK lines
+    are joined and written as one block, so the run holds at most one block
+    of the trace, whatever its length; a zero-length run writes just the
+    header. A falsy record (None, False) records nothing.
     A packet is the one record its source's iterator yields (TCP's in the
     same layout); the heap, queue, link and delivery line pass it on.
     Raises SimulationError if the link idles while packets wait, the queue
@@ -577,12 +587,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         tcp = TcpSource(sim.sources[tcp_id].size, net.n_ack)
         rcv = TcpReceiver(net.n_ack)
         tcp_breakdown = {"tcp-data": tcp.size}
-    if record:
-        # the text grows by one joined block at a time; csv must stay a
-        # plain local that nothing else refers to (no closure, no second
-        # name), so that CPython resizes it in place instead of copying it
-        csv = REC_HEADER
-        block: list[str] = []
+    recording = bool(record)  # the loop tests a bool, not the sink
+    if recording:
+        to_csv = Trace.to_csv
+        block = [REC_HEADER]
         add_line = block.append
         # each event's "event,flow" label, by flow
         send_lbl, enq_lbl, drop_lbl, deq_lbl, deliv_lbl, ack_lbl, win_lbl = (
@@ -612,7 +620,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
     cycles: list[CycleRecord] = []  # closed cycles that started past the warmup
 
     def emit_tcp(t, sends):
-        if record and sends:
+        if recording and sends:
             occ = occupancy(t)  # a burst leaves at one instant
             label, cwnd = send_lbl[tcp_id], cwnds[tcp_id]
             for seq in sends:
@@ -671,7 +679,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 # one read serves the send row, the admission test, the
                 # drop row and a new loss cycle
                 occ = occupancy(t)
-                if record and stream is not None:
+                if recording and stream is not None:
                     add_line(f"{t},{send_lbl[flow]},{seq},{size},{occ},{cwnds[flow]}\n")
                 if offer(pkt, occ):
                     occ += size
@@ -684,7 +692,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                             m.media_dropped_bytes[tag] = (
                                 m.media_dropped_bytes.get(tag, 0.0) + nbytes
                             )
-                    if record:
+                    if recording:
                         add_line(f"{t},{drop_lbl[flow]},{seq},{size},{occ},{cwnds[flow]}\n")
                     if flow == tcp_id:
                         if last_tcp_drop is not None and t - last_tcp_drop <= merge_gap_ns:
@@ -708,7 +716,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                         cyc.q_min = occ
                     if occ > cyc.q_max:
                         cyc.q_max = occ
-                if record:
+                if recording:
                     flow = pkt[1]
                     label = (enq_lbl if kind else deq_lbl)[flow]
                     add_line(f"{t},{label},{pkt[2]},{pkt[3]},{occ},{cwnds[flow]}\n")
@@ -720,7 +728,7 @@ def run(sim: Simulator, record: bool = False) -> Trace:
             delivery_t.popleft()
             m = metrics[flow]
             m.delivered_total += 1
-            if record:
+            if recording:
                 add_line(f"{t},{deliv_lbl[flow]},{seq},{size},{occupancy(t)},{cwnds[flow]}\n")
             if t >= warmup_ns:
                 m.delivered += 1
@@ -749,12 +757,12 @@ def run(sim: Simulator, record: bool = False) -> Trace:
         elif kind == 3:  # ACK at the TCP sender
             ack_seq = acks.popleft()[1]
             before = tcp.cwnd
-            if record:
+            if recording:
                 occ = occupancy(t)
                 add_line(f"{t},{ack_lbl[tcp_id]},{ack_seq},{ACK_SIZE},{occ},{cwnds[tcp_id]}\n")
             sends = tcp.on_ack(ack_seq, t)
             w = tcp.cwnd
-            if record and w != before:
+            if recording and w != before:
                 # only an ACK changes the window: this row and every later
                 # TCP row carry the new one
                 cwnds[tcp_id] = cwnd = f"{w:.3f}"
@@ -769,9 +777,8 @@ def run(sim: Simulator, record: bool = False) -> Trace:
 
         if waiting and queue.in_service is None:
             raise SimulationError(f"link idle at t = {t} ns with {len(waiting)} packets waiting")
-        if record and len(block) >= REC_BLOCK:
-            csv += "".join(block)
-            block.clear()
+        if recording and len(block) >= REC_BLOCK:
+            to_csv(block, record)
 
     # census of packets still inside the system, then per-flow conservation
     in_flight = [0] * len(names)
@@ -787,11 +794,10 @@ def run(sim: Simulator, record: bool = False) -> Trace:
                 f"+ {inside} in flight"
             )
 
-    if record:
-        csv += "".join(block)
+    if recording:
+        to_csv(block, record)
     return Trace(
         metrics=dict(zip(names, metrics)),
         cycles=cycles,
-        csv=csv if record else None,
         in_flight_end=dict(zip(names, in_flight)),
     )

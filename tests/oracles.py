@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -19,10 +20,20 @@ from teleqos.simulator import (
     FlowMetrics,
     TcpReceiver,
     TcpSource,
+    Trace,
+    run,
 )
 
 # trace record event codes, indexing REC_EVENTS
 REC_SEND, REC_ENQ, REC_DROP, REC_DEQ, REC_DELIV, REC_ACK, REC_WIN = range(7)
+
+
+def recorded(sim) -> tuple[Trace, str]:
+    """One run of sim that records into an io.StringIO: the trace and the
+    raw CSV text the engine wrote."""
+    sink = io.StringIO()
+    trace = run(sim, record=sink)
+    return trace, sink.getvalue()
 
 
 def mtcp_by_timeline(n: int, s_tcp: float, mu: float, rate: float, interval: float) -> int:
@@ -178,8 +189,9 @@ EV_LINK_DONE, EV_ARRIVE, EV_DELIVER, EV_ACK, EV_RTO = range(5)
 
 @dataclass
 class HeapRun:
-    """What the single-heap engine measured: the metrics, cycles, trace text
-    and end census that run() returns in a Trace, under the same names."""
+    """What the single-heap engine measured: the metrics, cycles and end
+    census that run() returns in a Trace, under the same names, and the
+    trace text that run() writes to its sink."""
 
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]

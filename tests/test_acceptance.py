@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from oracles import mtcp_by_timeline
+from oracles import mtcp_by_timeline, recorded
 from teleqos import (
     AvMuxSpec,
     CbrAggregate,
@@ -366,8 +366,8 @@ def test_criterion_8_invariant_suites():
     sim_cases = 0
     for _ in range(6):
         cfg = random_scenario(rng)
-        trace = run(build_simulator(cfg), record=True)
-        assert queue_extremes(trace, cfg.effective_warmup)[1] <= cfg.net.buf
+        trace, text = recorded(build_simulator(cfg))
+        assert queue_extremes(text, cfg.effective_warmup)[1] <= cfg.net.buf
         for name, m in trace.metrics.items():
             assert m.created_total == (
                 m.delivered_total + m.dropped_total + trace.in_flight_end[name]
@@ -380,9 +380,7 @@ def test_criterion_8_invariant_suites():
         sim_cases += 1
 
     cfg = replace(sweep_scenario(), duration=5.0, warmup=1.0)
-    a = run(build_simulator(cfg), record=True).to_csv()
-    b = run(build_simulator(cfg), record=True).to_csv()
-    assert a == b
+    assert recorded(build_simulator(cfg))[1] == recorded(build_simulator(cfg))[1]
 
     elapsed = time.time() - t0
     ok = cases >= 1000 and elapsed < 60.0

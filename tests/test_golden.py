@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import replace
 
 import pytest
+from oracles import recorded
 
 from teleqos import (
     SignalSpec,
@@ -101,8 +102,8 @@ GOLDEN_CYCLES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trace_digest(name):
-    trace = run(build_simulator(five_seconds(name)), record=True)
-    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == GOLDEN[name][1]
+    _, text = recorded(build_simulator(five_seconds(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -121,12 +122,12 @@ def test_golden_cycle_digest(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_recording_does_not_change_results(name):
     # every arrival reads the queue occupancy whether or not the run
-    # records, and recording adds its own lines and reads on top; both
-    # paths must agree on every metric, cycle and queue extreme
+    # records, and recording adds its own lines and reads on top; the
+    # traces of both paths must be equal: every metric, cycle and census
     sim = build_simulator(five_seconds(name))
-    recorded = run(sim, record=True)
-    assert recorded.metrics["media"].media_bytes
-    assert replace(recorded, csv=None) == run(sim, record=False)
+    trace, _ = recorded(sim)
+    assert trace.metrics["media"].media_bytes
+    assert trace == run(sim)
 
 
 # sha256 of each signal kind's 20 s adaptive stream (seed 1, deadband 0.1,

@@ -15,9 +15,9 @@ import random
 from dataclasses import replace
 
 import pytest
-from oracles import run_by_single_heap
+from oracles import recorded, run_by_single_heap
 
-from teleqos import FlowSpec, NetworkParams, ScenarioConfig, SignalSpec, build_simulator, run
+from teleqos import FlowSpec, NetworkParams, ScenarioConfig, SignalSpec, build_simulator
 
 MBPS = 1e6 / 8.0
 NS_PER_BYTE = (1000, 1600, 2000, 4000)  # 8, 5, 4 and 2 Mbps
@@ -76,10 +76,10 @@ def _first_difference(a: str, b: str) -> str:
 @pytest.mark.parametrize("seed", range(20))
 def test_engine_matches_the_single_heap_reference(seed):
     sim = build_simulator(reference_scenario(seed))
-    trace = run(sim, record=True)
+    trace, text = recorded(sim)
     ref = run_by_single_heap(sim)
-    if trace.csv != ref.csv:  # a plain assert would diff two long texts
-        pytest.fail(_first_difference(trace.csv, ref.csv))
+    if text != ref.csv:  # a plain assert would diff two long texts
+        pytest.fail(_first_difference(text, ref.csv))
     assert trace.metrics == ref.metrics
     assert trace.cycles == ref.cycles
     assert trace.in_flight_end == ref.in_flight_end
@@ -99,7 +99,7 @@ def test_reference_scenarios_reach_the_cases_the_rule_is_about():
         if seed % 4 < 2:
             cfg = replace(reference_scenario(seed), duration=0.5, warmup=0.0)
             events_at: dict[str, set] = {}
-            for line in run(build_simulator(cfg), record=True).csv.splitlines()[1:]:
+            for line in recorded(build_simulator(cfg))[1].splitlines()[1:]:
                 t, event, flow = line.split(",")[:3]
                 events_at.setdefault(t, set()).add(event if flow == "bulk" else "open-" + event)
             arrival_ties += sum({"dequeue", "open-send"} <= e or {"open-dequeue", "open-send"} <= e

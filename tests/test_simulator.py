@@ -2,6 +2,7 @@
 machine, plus randomized whole-run invariants (conservation, work
 conservation, capacity, determinism, steady-state structure)."""
 
+import io
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import recorded
 
 import teleqos
 from teleqos import (
@@ -178,8 +180,8 @@ def test_conservation_capacity_work_conservation():
     rng = random.Random(42)
     for _ in range(12):
         cfg = random_scenario(rng)
-        trace = run(build_simulator(cfg), record=True)
-        assert queue_extremes(trace, cfg.effective_warmup)[1] <= cfg.net.buf
+        trace, text = recorded(build_simulator(cfg))
+        assert queue_extremes(text, cfg.effective_warmup)[1] <= cfg.net.buf
         for name, m in trace.metrics.items():
             assert m.created_total == (
                 m.delivered_total + m.dropped_total + trace.in_flight_end[name]
@@ -190,10 +192,10 @@ def test_conservation_with_packets_on_the_delivery_line():
     # 50 ms of the shipped scenario ends with packets still crossing the
     # tau = 8 ms link: the end census must count them
     cfg = replace(parse_scenario(baseline_text()), duration=0.05, warmup=0.05)
-    trace = run(build_simulator(cfg), record=True)
+    trace, text = recorded(build_simulator(cfg))
     on_line = {name: 0 for name in trace.metrics}
     inside = dict(on_line)
-    for row in trace.to_csv().splitlines()[1:]:
+    for row in text.splitlines()[1:]:
         event, flow = row.split(",")[1:3]
         step = {"enqueue": (0, 1), "dequeue": (1, 0), "deliver": (-1, -1)}.get(event)
         if step:
@@ -217,7 +219,8 @@ def test_conservation_failure_raises(base_scenario, monkeypatch, record):
 
     monkeypatch.setattr(DropTailQueue, "offer", leaky_offer)
     with pytest.raises(SimulationError, match="in flight"):
-        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)), record=record)
+        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)),
+            record=io.StringIO() if record else None)
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -226,28 +229,29 @@ def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch, record):
     # waiting on an idle link; the engine must stop at the first such event
     monkeypatch.setattr(DropTailQueue, "start_next", lambda self, t: self.packets[0])
     with pytest.raises(SimulationError, match="link idle at t = 0 ns"):
-        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)), record=record)
+        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)),
+            record=io.StringIO() if record else None)
 
 
-def _rows(trace):
+def _rows(text: str):
     """Each row of a recorded trace as (time_ns, event, flow, queue_bytes)."""
-    for row in trace.to_csv().splitlines()[1:]:
+    for row in text.splitlines()[1:]:
         t, event, flow, _seq, _size, occ = row.split(",")[:6]
         yield int(t), event, flow, int(occ)
 
 
-def _events_at(trace) -> dict[int, list[tuple[str, str]]]:
+def _events_at(text: str) -> dict[int, list[tuple[str, str]]]:
     by_time: dict[int, list[tuple[str, str]]] = {}
-    for t, event, flow, _occ in _rows(trace):
+    for t, event, flow, _occ in _rows(text):
         by_time.setdefault(t, []).append((event, flow))
     return by_time
 
 
-def queue_extremes(trace, warmup: float) -> tuple[int, int]:
+def queue_extremes(text: str, warmup: float) -> tuple[int, int]:
     """Least and greatest queue occupancy, bytes, that a recorded trace
     shows after an enqueue or dequeue at or after `warmup` seconds."""
     start = round(warmup * 1e9)
-    occs = [occ for t, event, _flow, occ in _rows(trace)
+    occs = [occ for t, event, _flow, occ in _rows(text)
             if t >= start and event in ("enqueue", "dequeue")]
     return min(occs), max(occs)
 
@@ -261,7 +265,7 @@ def test_equal_instant_arrivals_go_in_flow_order(base_net):
     )
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=0.2, warmup=0.0)
     shared = 0
-    for events in _events_at(run(build_simulator(cfg), record=True)).values():
+    for events in _events_at(recorded(build_simulator(cfg))[1]).values():
         queued = [e for e in events if e[0] in ("send", "enqueue")]
         if len(queued) > 2:
             shared += 1
@@ -277,15 +281,15 @@ def test_link_completion_precedes_arrival_at_the_same_instant():
     net = NetworkParams(mu=1e6, tau=1e-3, buf=1000.0, s_tcp=578.0, n_ack=1)
     flows = (FlowSpec(name="cbr", kind="cbr", rate=1e6, packet=100.0, gap=1e-4),)
     cfg = ScenarioConfig(net=net, flows=flows, duration=0.1, warmup=0.0)
-    trace = run(build_simulator(cfg), record=True)
+    _, text = recorded(build_simulator(cfg))
     together = 0
-    for events in _events_at(trace).values():
+    for events in _events_at(text).values():
         kinds = [e[0] for e in events]
         if "dequeue" in kinds and "send" in kinds:
             together += 1
             assert kinds.index("dequeue") < kinds.index("send") < kinds.index("enqueue")
     assert together == 1000  # t = 0.1, 0.2, ..., 100 ms
-    assert queue_extremes(trace, 0.0)[1] == 100
+    assert queue_extremes(text, 0.0)[1] == 100
 
 
 @pytest.mark.parametrize("mu, packet", [(6 * MBPS, 0.3), (1e10, 1.0)])
@@ -352,14 +356,12 @@ def test_a_significant_packet_without_video_bytes_counts_as_haptic(base_net):
 
 def test_determinism_byte_identical_traces(base_scenario):
     cfg = replace(base_scenario, duration=5.0, warmup=1.0)
-    t1 = run(build_simulator(cfg), record=True)
-    t2 = run(build_simulator(cfg), record=True)
-    assert t1.to_csv() == t2.to_csv()
+    assert recorded(build_simulator(cfg))[1] == recorded(build_simulator(cfg))[1]
 
 
 def test_trace_csv_shape(base_scenario):
-    trace = run(build_simulator(replace(base_scenario, duration=1.0, warmup=0.0)), record=True)
-    lines = trace.to_csv().splitlines()
+    _, text = recorded(build_simulator(replace(base_scenario, duration=1.0, warmup=0.0)))
+    lines = text.splitlines()
     assert lines[0] == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts"
     assert len(lines) > 100
     times = [int(l.split(",")[0]) for l in lines[1:]]
@@ -367,31 +369,45 @@ def test_trace_csv_shape(base_scenario):
 
 
 def test_trace_csv_of_an_empty_run_is_the_header(base_scenario):
-    trace = run(build_simulator(replace(base_scenario, duration=0.0, warmup=0.0)), record=True)
-    assert trace.to_csv() == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
+    _, text = recorded(build_simulator(replace(base_scenario, duration=0.0, warmup=0.0)))
+    assert text == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
 
 
-def test_recording_holds_one_copy_of_the_trace_text(base_scenario, monkeypatch):
-    # the engine appends each joined block to one text that grows in place,
-    # so the peak is that text plus one block, not one object per event nor
-    # a second copy at a final join; the ratio does not depend on the run's
-    # length, so small blocks keep it short
+class _Discard:
+    """A trace sink that keeps nothing it is given; it counts the lines and
+    characters."""
+
+    def __init__(self) -> None:
+        self.lines = self.chars = 0
+
+    def write(self, block: str) -> None:
+        self.lines += block.count("\n")
+        self.chars += len(block)
+
+
+def test_recording_holds_a_few_blocks_whatever_the_run_length(base_scenario, monkeypatch):
+    # the engine writes each joined block to its sink and keeps none of
+    # them, so recording costs the same few blocks of traced memory on top
+    # of the run's own state in a 0.5 s and in a 2 s run, not one object
+    # per event nor the text so far; small blocks make several per run, and
+    # a slow link with two flows keeps the runs short under tracemalloc
     monkeypatch.setattr(simulator, "REC_BLOCK", 256)
-    sim = build_simulator(replace(base_scenario, duration=0.5, warmup=0.1))
-    tracemalloc.start()
-    try:
-        csv = run(sim, record=True).to_csv()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert csv.count("\n") > 4 * simulator.REC_BLOCK  # several full blocks and a partial one
-    assert peak < 1.5 * len(csv)
-
-
-def test_the_trace_text_is_a_plain_local_of_run():
-    # a closure cell would hold a second reference, and every append
-    # would then copy the whole text
-    assert "csv" not in simulator.run.__code__.co_cellvars
+    slow = replace(base_scenario, net=replace(base_scenario.net, mu=1.5 * MBPS),
+                   flows=base_scenario.flows[:2], warmup=0.1)
+    for duration in (0.5, 2.0):
+        sim = build_simulator(replace(slow, duration=duration))
+        sink = _Discard()
+        peaks = []
+        for record in (None, sink):
+            tracemalloc.start()
+            try:
+                run(sim, record=record)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sink.lines > 4 * simulator.REC_BLOCK  # several full blocks and a partial one
+        block = simulator.REC_BLOCK * sink.chars / sink.lines  # a full block's length
+        assert peaks[1] - peaks[0] < 6 * block, duration
 
 
 # A child's ru_maxrss starts from the RSS of the process that spawned it,
@@ -422,8 +438,9 @@ def _simulate_peak_rss(argv: list[str]) -> int:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
 def test_simulate_holds_the_trace_about_once_on_its_way_to_the_file(tmp_path):
-    # the text grows in place in the engine and goes to the file a slice
-    # at a time, so --trace costs about one copy of the file, not two
+    # the engine writes its trace to the file a block at a time while it
+    # runs, so --trace costs a few MB whatever the file's size (here about
+    # 11 MB), not a copy of the file
     config = tmp_path / "scenario.scn"
     config.write_text(baseline_text())
     trace_path = tmp_path / "events.csv"
@@ -431,19 +448,14 @@ def test_simulate_holds_the_trace_about_once_on_its_way_to_the_file(tmp_path):
             "--out", str(tmp_path / "report.txt")]
     without = _simulate_peak_rss(argv)
     with_trace = _simulate_peak_rss([*argv, "--trace", str(trace_path)])
-    assert with_trace - without < 1.6 * trace_path.stat().st_size
-
-
-def test_trace_csv_needs_record(base_scenario):
-    trace = run(build_simulator(replace(base_scenario, duration=0.1, warmup=0.0)))
-    with pytest.raises(SimulationError, match="record=True"):
-        trace.to_csv()
+    assert trace_path.stat().st_size > 10 << 20
+    assert with_trace - without < 5 << 20
 
 
 def test_queue_never_empties_in_steady_state(base_scenario):
     # full-utilization regime: B > 2*mu*tau and a live TCP source
-    trace = run(build_simulator(replace(base_scenario, warmup=15.0)), record=True)
-    assert queue_extremes(trace, 15.0)[0] > 0
+    _, text = recorded(build_simulator(replace(base_scenario, warmup=15.0)))
+    assert queue_extremes(text, 15.0)[0] > 0
 
 
 def test_steady_state_cycles(base_scenario):
@@ -494,8 +506,8 @@ def test_same_simulator_runs_twice_identically(base_net):
     )
     cfg = ScenarioConfig(net=base_net, flows=flows, duration=3.0, warmup=1.0)
     sim = build_simulator(cfg)
-    first = run(sim, record=True).to_csv()
-    assert run(sim, record=True).to_csv() == first
+    first = recorded(sim)[1]
+    assert recorded(sim)[1] == first
 
 
 def test_frozen_simulator_runs_the_scenario_duration(base_scenario):
@@ -612,8 +624,8 @@ def test_fractional_buffer_keeps_occupancy_and_delay_bounds():
         FlowSpec(name="cross", kind="cbr", rate=0.448 * mu - media, packet=150.0),
     )
     cfg = ScenarioConfig(net=net, flows=flows, duration=40.0, warmup=15.0, seed=3)
-    trace = run(build_simulator(cfg), record=True)
-    assert queue_extremes(trace, cfg.effective_warmup)[1] <= net.buf
+    trace, text = recorded(build_simulator(cfg))
+    assert queue_extremes(text, cfg.effective_warmup)[1] <= net.buf
     for m in trace.metrics.values():
         assert m.max_delay <= net.tau + net.buf / net.mu
 

@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from oracles import recorded
 
 import teleqos
 from teleqos import (
@@ -381,13 +383,20 @@ def test_cli_directory_as_out_is_an_input_error(tmp_path, capsys):
 
 def test_cli_engine_fault_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     # a link that never takes the head packet into service breaks a
-    # post-condition of the engine, which is neither a QoS failure nor bad input
+    # post-condition of the engine, which is neither a QoS failure nor bad
+    # input; the trace streamed so far is thrown away with its file
     monkeypatch.setattr(simulator.DropTailQueue, "start_next", lambda self, t: self.packets[0])
     path = write_cfg(tmp_path, baseline_text())
-    assert main(["simulate", "--config", path, "--duration", "0.5", "--warmup", "0"]) == 3
+    trace_path = tmp_path / "events.csv"
+    trace_path.write_bytes(b"an earlier trace\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["simulate", "--config", path, "--duration", "0.5", "--warmup", "0",
+                 "--trace", str(trace_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("teleqos: simulation failed: link idle at t = 0 ns")
     assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+    assert trace_path.read_bytes() == b"an earlier trace\n"
 
 
 def test_cli_simulate_with_trace(tmp_path, capsys):
@@ -400,10 +409,78 @@ def test_cli_simulate_with_trace(tmp_path, capsys):
     assert "media:" in out
     header = trace_path.read_text().splitlines()[0]
     assert header == "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts"
-    # the file holds every block the engine joined, in order
+    # the file holds every block the engine wrote, in order, and no
+    # temporary file is left beside it
     cfg = replace(parse_scenario(baseline_text()), duration=5.0, warmup=1.0)
-    expected = run(build_simulator(cfg), record=True).to_csv()
-    assert trace_path.read_bytes() == expected.encode()
+    assert trace_path.read_bytes() == recorded(build_simulator(cfg))[1].encode()
+    assert sorted(os.listdir(tmp_path)) == ["events.csv", "scenario.scn"]
+
+
+# a run short enough for the tests of where --trace goes, with its warmup
+SHORT_RUN = ["--duration", "1", "--warmup", "0.5"]
+
+
+def _short_trace() -> bytes:
+    cfg = replace(parse_scenario(baseline_text()), duration=1.0, warmup=0.5)
+    return recorded(build_simulator(cfg))[1].encode()
+
+
+def test_cli_simulate_trace_through_a_symlink_replaces_the_file_it_names(tmp_path, capsys):
+    # the new trace takes the place of the file the link points to; the
+    # link stays a link, and a file that has the name the temporary file
+    # would first take is left alone
+    path = write_cfg(tmp_path, baseline_text())
+    target = tmp_path / "traces" / "events.csv"
+    target.parent.mkdir()
+    target.write_bytes(b"an earlier trace\n")
+    squatter = target.parent / f".teleqos-{os.getpid()}-0.tmp"
+    squatter.write_bytes(b"not ours\n")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    assert main(["simulate", "--config", path, *SHORT_RUN, "--trace", str(link)]) in (0, 1)
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == _short_trace()
+    assert squatter.read_bytes() == b"not ours\n"
+    assert sorted(os.listdir(target.parent)) == [squatter.name, "events.csv"]
+
+
+def test_perfbench_spans_see_every_block_of_the_streamed_trace(tmp_path, capsys, monkeypatch):
+    # the benchmark times trace-cli by wrapping Trace.to_csv and the files
+    # cli.py opens, and sums the lengths to_csv returns; a rename on either
+    # side fails here instead of in a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from spans import Tracer, call_counts, installed
+
+    path = write_cfg(tmp_path, baseline_text())
+    trace_path = tmp_path / "events.csv"
+    tracer = Tracer()
+    with installed(tracer):
+        code = main(["simulate", "--config", path, "--duration", "2", "--warmup", "1",
+                     "--trace", str(trace_path)])
+    assert code in (0, 1)
+    calls = call_counts(tracer.spans)
+    assert calls["simulator.to_csv"] > 1 and calls["cli.write"] > 1
+    assert tracer.counts["simulator.trace_bytes"] == trace_path.stat().st_size
+    # the blocks reach the file while the engine runs
+    to_csv = {i for i, span in enumerate(tracer.spans) if span.name == "simulator.to_csv"}
+    assert any(span.name == "cli.write" and span.parent in to_csv for span in tracer.spans)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cli_simulate_streams_its_trace_into_a_fifo(tmp_path, capsys):
+    # a target that is not a regular file takes the stream as it comes,
+    # with no file created beside it and nothing renamed over it
+    path = write_cfg(tmp_path, baseline_text())
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    before = sorted(os.listdir(tmp_path))
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["simulate", "--config", path, *SHORT_RUN, "--trace", str(fifo)]) in (0, 1)
+    reader.join(timeout=60)
+    assert not reader.is_alive() and received == [_short_trace()]
+    assert sorted(os.listdir(tmp_path)) == before and fifo.is_fifo()
 
 
 @pytest.mark.parametrize("argv, window", [
@@ -476,16 +553,19 @@ def test_cli_simulate_keeps_out_when_it_fails_after_its_run(tmp_path, capsys):
 
 def test_cli_simulate_keeps_its_trace_when_it_fails_after_its_run(tmp_path, capsys):
     # a 1 ms run carries no haptic byte to judge: the run succeeds, the
-    # compliance check after it fails, and neither output is replaced
+    # compliance check after it fails, neither output is replaced and the
+    # streamed trace leaves no file behind
     trace_path, out_path = tmp_path / "events.csv", tmp_path / "report.txt"
     trace_path.write_bytes(b"an earlier trace\n")
     out_path.write_bytes(b"an earlier report\n")
     path = write_cfg(tmp_path, baseline_text())
+    before = sorted(os.listdir(tmp_path))
     argv = ["simulate", "--config", path, "--duration", "0.001", "--warmup", "0",
             "--trace", str(trace_path), "--out", str(out_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("teleqos: no haptic bytes measured") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
     assert trace_path.read_bytes() == b"an earlier trace\n"
     assert out_path.read_bytes() == b"an earlier report\n"
 
