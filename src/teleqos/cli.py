@@ -57,7 +57,9 @@ def _trace_file(path: str) -> Iterator[TextIO]:
     _output checks, and the stream goes to a new file created beside the
     file the path names, symlinks resolved; that file replaces the target
     only when the block ends without an error, and is removed when it ends
-    with one, so a failed run leaves the target as it was."""
+    with one, so a failed run leaves the target as it was. The new file
+    takes the target's permission bits; its hard links a rename cannot
+    keep, and they keep the old text."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -69,6 +71,7 @@ def _trace_file(path: str) -> Iterator[TextIO]:
     with open(path, "a", encoding="utf-8"):
         pass
     target = os.path.realpath(path)
+    mode = stat.S_IMODE(os.stat(target).st_mode)
     for n in count():
         tmp = os.path.join(os.path.dirname(target), f".teleqos-{os.getpid()}-{n}.tmp")
         try:
@@ -78,6 +81,7 @@ def _trace_file(path: str) -> Iterator[TextIO]:
             pass
     try:
         with fh:
+            os.chmod(tmp, mode)  # before a byte of the trace is written
             yield fh
         os.replace(tmp, target)
     except BaseException:
@@ -175,9 +179,11 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
     flow = adaptive[0]
     write_out = _output(args.out)
     sim = simulator.build_simulator(config)
-    src = sim.sources[config.flows.index(flow)]
-    t_ns, sizes = src.schedule[:2]
-    pairs = np.column_stack((t_ns / 1e9, sizes))
+    t_ns, sizes = sim.sources[config.flows.index(flow)].schedule[:2]
+    pairs = np.empty((len(t_ns), 2))  # filled in place, without a temporary per column
+    np.divide(t_ns, 1e9, out=pairs[:, 0])
+    pairs[:, 1] = sizes
+    del sim, t_ns, sizes  # the rate series needs only the pairs
     series = sampling.instantaneous_rate(pairs, window=args.window)
     if args.format == "csv":
         times, rates = series.times.tolist(), series.rates.tolist()

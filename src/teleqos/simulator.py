@@ -454,19 +454,29 @@ def _adaptive_schedule(flow: FlowSpec, duration: float, seed: int) -> tuple:
     spec = flow.signal if flow.signal.seed else replace(flow.signal, seed=seed)
     samples = sampling.synth_haptic_trace(spec, duration)
     flags = sampling.deadband_filter(samples, flow.deadband)
+    del samples  # the flags are all the multiplexer needs
     stream = sampling.vh_mux(flags, flow.video_rate, flow.header)
-    times = stream.tick * sampling.HAPTIC_TICK
-    keep = times < duration
-    t_ns = np.rint(times[keep] * 1e9).astype(np.int64)
-    header, video = stream.header_bytes, stream.video_bytes[keep]
-    sizes = np.rint(header + video)
-    if not sizes.max() < 2**63:
+    header = stream.header_bytes
+    # the ticks rise, so the packets past the duration come last; the first
+    # packet, at tick 0, is within it
+    kept = len(stream)
+    while stream.tick[kept - 1] * sampling.HAPTIC_TICK >= duration:
+        kept -= 1
+    tick, video = stream.tick[:kept], stream.video_bytes[:kept]
+    # rint(header + v) rises with v, so the largest video makes the largest packet
+    largest = np.rint(header + video.max())
+    if not largest < 2**63:
         raise ScenarioSemanticError(
             f"flow {flow.name!r}: video_rate {flow.video_rate:g} B/s and header {header:g} B "
-            f"make a {sizes.max():g} B packet; packet sizes must stay below 2^63 B"
+            f"make a {largest:g} B packet; packet sizes must stay below 2^63 B"
         )
-    sizes = sizes.astype(np.int64)
-    return t_ns, sizes, stream.significant[keep], video, header
+    t_ns = np.empty(kept, dtype=np.int64)
+    sizes = np.empty(kept, dtype=np.int64)
+    for lo in range(0, kept, sampling.BLOCK):
+        s = slice(lo, lo + sampling.BLOCK)
+        t_ns[s] = np.rint(tick[s] * sampling.HAPTIC_TICK * 1e9)
+        sizes[s] = np.rint(header + video[s])
+    return t_ns, sizes, stream.significant[:kept], video, header
 
 
 def build_simulator(config: ScenarioConfig) -> Simulator:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -175,6 +176,17 @@ def mux_by_ticks(flags, video_rate: float, header: float) -> list[tuple[float, s
     if pending > 0:
         packets.append((len(flags) * HAPTIC_TICK, "chunk", header, pending))
     return packets
+
+
+def rates_by_windows(packets, window: float, ends) -> list[float]:
+    """The byte rate of the packets with time in [g - window, g), for each
+    window end g. The packets are (time, size) pairs of whole-byte sizes, so
+    every window sum is exact in any order."""
+    packets = sorted(packets)
+    times = [t for t, _ in packets]
+    sizes = [size for _, size in packets]
+    return [sum(sizes[bisect_left(times, g - window):bisect_left(times, g)]) / window
+            for g in ends]
 
 
 # The event engine as it ran before its loop was folded into run(): every

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import deadband_by_rows, filtered_noise_by_rows, mux_by_ticks
+from oracles import deadband_by_rows, filtered_noise_by_rows, mux_by_ticks, rates_by_windows
 
 from teleqos import (
     SignalSpec,
@@ -16,6 +16,7 @@ from teleqos import (
     vh_mux,
 )
 from teleqos.sampling import (
+    BLOCK,
     CHUNK_TICKS,
     DEADBAND_OFFSETS,
     HAPTIC_TICK,
@@ -316,6 +317,90 @@ def test_deadband_follows_a_reference_open_across_many_blocks():
     samples[4990:] = [1.0, 2.0, 0.6]
     flags = deadband_filter(samples, 0.1)
     assert np.flatnonzero(flags).tolist() == [0, 3000]
+    assert flags.tolist() == deadband_by_rows(samples, 0.1).tolist()
+
+
+# signal lengths in ticks about the ends of the first and second blocks of
+# every stage; the last leaves the deadband's second block a full set of
+# followers and its third block the rest
+BLOCK_LENGTHS = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + DEADBAND_OFFSETS)
+
+
+@pytest.mark.parametrize("ticks", BLOCK_LENGTHS)
+def test_stages_match_reference_loops_about_block_ends(ticks):
+    duration = ticks * HAPTIC_TICK
+    noise = synth_haptic_trace(SignalSpec(kind="filtered-noise", amplitude=1.5, seed=3), duration)
+    assert noise.tobytes() == filtered_noise_by_rows(1.5, 3, duration).tobytes()
+    burst = synth_haptic_trace(SignalSpec(kind="contact-burst", seed=3), duration)
+    for samples in (noise, burst):
+        flags = deadband_filter(samples, 0.1)
+        assert flags.tolist() == deadband_by_rows(samples, 0.1).tolist()
+        stream = vh_mux(flags, 400e3 / 8, 87.0)
+        assert _fields(stream) == mux_by_ticks(flags, 400e3 / 8, 87.0)
+        for window in (HAPTIC_TICK, 0.1):
+            series = instantaneous_rate(_pairs(stream), window)
+            assert series.rates.tolist() == rates_by_windows(_pairs(stream).tolist(), window,
+                                                             series.times.tolist())
+
+
+def test_mux_carries_a_quiet_run_across_blocks():
+    # one quiet run over three blocks of ticks, then one that a block's last
+    # tick ends, then one that the next block's first tick ends
+    flags = np.zeros(2 * BLOCK + DEADBAND_OFFSETS, dtype=bool)
+    flags[[0, 2 * BLOCK - 1, 2 * BLOCK]] = True
+    for video_rate, header in MUX_CASES:
+        assert _fields(vh_mux(flags, video_rate, header)) == mux_by_ticks(flags, video_rate, header)
+
+
+@pytest.mark.parametrize("ends", BLOCK_LENGTHS)
+def test_instantaneous_rate_matches_window_sums_about_block_ends(ends):
+    # a whole-byte packet on each of n ticks; a window of 100.5 ticks keeps
+    # the grid's rounding clear of a whole count, so there are n - 100 ends
+    window = 0.1005
+    sizes = np.random.default_rng(ends).integers(1, 3000, ends + 100).astype(float)
+    packets = np.column_stack((np.arange(ends + 100) * HAPTIC_TICK, sizes))
+    series = instantaneous_rate(packets, window)
+    assert len(series.times) == ends
+    assert series.rates.tolist() == rates_by_windows(packets.tolist(), window, series.times.tolist())
+
+
+def _held(ticks: int, *changes: tuple[int, list[float]]) -> np.ndarray:
+    """ticks samples of [1, 1, 1] that take each value from its tick on."""
+    samples = np.ones((ticks, 3))
+    for tick, value in changes:
+        samples[tick:] = value
+    return samples
+
+
+# signals whose chain of references meets a block end, with the samples
+# the deadband keeps at k = 0.1: the chain reaches a block's last reference
+# and then the next block's first at the next sample, or that first
+# reference by a far search; and a zero and a non-zero reference each stay
+# open across the end of the first block, left through the next-hit table
+# or the search beyond it
+BLOCK_CASES = {
+    "last, then first reference": (
+        _held(BLOCK + 40, (BLOCK - 1, [2.0] * 3), (BLOCK, [3.0] * 3)), [0, BLOCK - 1, BLOCK]),
+    "first reference by a far search": (_held(BLOCK + 40, (BLOCK, [2.0] * 3)), [0, BLOCK]),
+    "zero reference, far search": (
+        _held(BLOCK + 50, (0, [0.0] * 3), (BLOCK + 20, [1e-3, 0.0, 0.0])), [0, BLOCK + 20]),
+    "zero reference, next-hit table": (
+        _held(BLOCK + 50, (BLOCK - 5, [0.0] * 3), (BLOCK + 5, [1e-3, 0.0, 0.0])),
+        [0, BLOCK - 5, BLOCK + 5]),
+    "non-zero reference, far search": (
+        _held(2 * BLOCK + DEADBAND_OFFSETS, (BLOCK - 3, [2.0] * 3), (BLOCK + 30, [3.0] * 3)),
+        [0, BLOCK - 3, BLOCK + 30]),
+    "non-zero reference, next-hit table": (
+        _held(BLOCK + 50, (BLOCK - 3, [2.0] * 3), (BLOCK + 10, [3.0] * 3)),
+        [0, BLOCK - 3, BLOCK + 10]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_deadband_chain_across_a_block_end_matches_reference(name):
+    samples, kept = BLOCK_CASES[name]
+    flags = deadband_filter(samples, 0.1)
+    assert np.flatnonzero(flags).tolist() == kept
     assert flags.tolist() == deadband_by_rows(samples, 0.1).tolist()
 
 

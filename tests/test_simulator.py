@@ -437,7 +437,7 @@ def _simulate_peak_rss(argv: list[str]) -> int:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
-def test_simulate_holds_the_trace_about_once_on_its_way_to_the_file(tmp_path):
+def test_simulate_trace_adds_under_5_mb_to_peak_rss(tmp_path):
     # the engine writes its trace to the file a block at a time while it
     # runs, so --trace costs a few MB whatever the file's size (here about
     # 11 MB), not a copy of the file
@@ -585,6 +585,26 @@ def test_adaptive_schedule_follows_scenario_seed(base_net):
 
     assert same(build(1), build(1))
     assert not same(build(1), build(2))
+
+
+@pytest.mark.parametrize("kind", ["filtered-noise", "contact-burst"])
+def test_adaptive_build_peaks_under_one_and_a_half_times_samples_and_schedule(base_net, kind):
+    # every sampling stage works a block of ticks at a time and the samples
+    # go once the flags exist, so building a 120 s adaptive source holds
+    # little besides the samples and the schedule: about 0.7 and 1.1 times
+    # their bytes, where whole-signal temporaries made 2.7 and 3.7 times
+    vh = FlowSpec(name="vh", kind="adaptive", deadband=0.1, video_rate=50e3,
+                  signal=SignalSpec(kind=kind, seed=1))
+    cfg = ScenarioConfig(net=base_net, flows=(vh,), duration=120.0, warmup=0.0)
+    tracemalloc.start()
+    try:
+        sim = build_simulator(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = 120_000 * 3 * 8  # 120 s of (x, y, z) float samples at 1 kHz
+    schedule = sum(column.nbytes for column in sim.sources[0].schedule[:4])
+    assert peak < 1.5 * (samples + schedule)
 
 
 def test_build_rejects_overload_with_tcp(base_net):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -442,6 +443,16 @@ def test_cli_simulate_trace_through_a_symlink_replaces_the_file_it_names(tmp_pat
     assert target.read_bytes() == _short_trace()
     assert squatter.read_bytes() == b"not ours\n"
     assert sorted(os.listdir(target.parent)) == [squatter.name, "events.csv"]
+
+
+def test_cli_simulate_trace_keeps_the_permissions_of_the_file_it_replaces(tmp_path, capsys):
+    path = write_cfg(tmp_path, baseline_text())
+    trace_path = tmp_path / "events.csv"
+    trace_path.write_bytes(b"an earlier trace\n")
+    trace_path.chmod(0o600)
+    assert main(["simulate", "--config", path, *SHORT_RUN, "--trace", str(trace_path)]) in (0, 1)
+    assert trace_path.read_bytes() == _short_trace()
+    assert stat.S_IMODE(trace_path.stat().st_mode) == 0o600
 
 
 def test_perfbench_spans_see_every_block_of_the_streamed_trace(tmp_path, capsys, monkeypatch):
