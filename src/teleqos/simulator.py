@@ -45,12 +45,14 @@ from .scenario import FlowSpec, ScenarioConfig, ScenarioSemanticError
 ACK_SIZE = 40
 RTO_NS = 1_000_000_000  # minimal idle-timer retransmit, avoids deadlock only
 
-# the trace record format: its event names and its header
+# the trace record format: its event names, in the order run() unpacks
+# them, and its header
 REC_EVENTS = ("send", "enqueue", "drop", "dequeue", "deliver", "ack", "window-change")
 REC_HEADER = "time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"
 # lines joined into one string at a time while recording and written to
-# the sink (a block may run a few lines over, since it is checked once per
-# event), so a recording run holds at most one block of the trace
+# the sink, so a recording run holds about one block of the trace; the
+# length is checked at each link completion, so a block may run over by
+# the lines written between two completions
 REC_BLOCK = 16384
 
 
@@ -567,13 +569,19 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
     Metrics cover only events past the scenario's effective warmup. With
     record, a text sink such as an open file or an io.StringIO, the run
     writes the raw trace to it as it goes: REC_HEADER, then one CSV line per
-    event with the queue occupancy after it, covering the warmup too. Each
-    line is formatted where its event happens, and every REC_BLOCK lines
-    are joined and written as one block, so the run holds at most one block
-    of the trace, whatever its length; a zero-length run writes just the
-    header. A falsy record (None, False) records nothing.
+    event with the queue occupancy after it, covering the warmup too. A
+    packet's "flow,seq,size," key is formatted once, where it enters the
+    engine (an open-loop arrival, or emit_tcp), and rides with the packet,
+    so each of its send, enqueue, drop, dequeue and deliver lines formats
+    only the time and the occupancy; an admitted open-loop arrival writes
+    its send and enqueue lines as one string, formatting the time once.
+    Once REC_BLOCK lines have built up (checked at each link completion)
+    they are joined and written as one block, so the run holds about one
+    block of the trace, whatever its length; a zero-length run writes just
+    the header. A falsy record (None, False) records nothing.
     A packet is the one record its source's iterator yields (TCP's in the
-    same layout); the heap, queue, link and delivery line pass it on.
+    same layout), with its key appended while recording; the heap, queue,
+    link and delivery line pass it on.
     Raises SimulationError if the link idles while packets wait, the queue
     exceeds its capacity, or a flow's packets do not balance at the end.
     """
@@ -592,29 +600,31 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
     names = [f.name for f in cfg.flows]
     metrics = [FlowMetrics(flow=name) for name in names]
     tcp_id = next((i for i, src in enumerate(sim.sources) if src.kind == "tcp"), -1)
-    tcp = rcv = tcp_breakdown = None
+    tcp = rcv = tcp_breakdown = tcp_name = tcp_size = None
     if tcp_id >= 0:
         tcp = TcpSource(sim.sources[tcp_id].size, net.n_ack)
         rcv = TcpReceiver(net.n_ack)
-        tcp_breakdown = {"tcp-data": tcp.size}
+        tcp_size, tcp_name = tcp.size, names[tcp_id]
+        tcp_breakdown = {"tcp-data": tcp_size}
     recording = bool(record)  # the loop tests a bool, not the sink
     if recording:
         to_csv = Trace.to_csv
         block = [REC_HEADER]
         add_line = block.append
-        # each event's "event,flow" label, by flow
-        send_lbl, enq_lbl, drop_lbl, deq_lbl, deliv_lbl, ack_lbl, win_lbl = (
-            [f"{event},{name}" for name in names] for event in REC_EVENTS
+        # each event's column with the commas around it
+        send_ev, enq_ev, drop_ev, deq_ev, deliv_ev, ack_ev, win_ev = (
+            f",{event}," for event in REC_EVENTS
         )
-        # the window column by flow: TCP rows carry the window as it
-        # stands, other rows leave it empty
-        cwnds = [""] * len(names)
+        # each flow's line end, the window column and the newline: TCP
+        # rows carry the window as it stands, other rows leave it empty
+        ends = [",\n"] * len(names)
         if tcp is not None:
-            cwnds[tcp_id] = f"{tcp.cwnd:.3f}"
+            ends[tcp_id] = f",{tcp.cwnd:.3f}\n"
 
     # the next arrival of each open-loop flow and the TCP packets sent
-    # but not yet queued, as packet records; no two records share
-    # (t, flow, seq), so the payload is never compared
+    # but not yet queued, as packet records (a TCP record carries its key
+    # already while recording); no two records share (t, flow, seq), so
+    # the payload is never compared
     heap: list = []
     deliveries: deque = deque()  # packets past the link, FIFO
     delivery_t: deque = deque()  # their delivery times: completion + tau
@@ -632,11 +642,14 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
     def emit_tcp(t, sends):
         if recording and sends:
             occ = occupancy(t)  # a burst leaves at one instant
-            label, cwnd = send_lbl[tcp_id], cwnds[tcp_id]
+            end = ends[tcp_id]
+            for seq in sends:  # each TCP packet's key is made here, once
+                key = f"{tcp_name},{seq},{tcp_size},"
+                add_line(f"{t}{send_ev}{key}{occ}{end}")
+                heappush(heap, (t, tcp_id, seq, tcp_size, tcp_breakdown, key))
+        else:
             for seq in sends:
-                add_line(f"{t},{label},{seq},{tcp.size},{occ},{cwnd}\n")
-        for seq in sends:
-            heappush(heap, (t, tcp_id, seq, tcp.size, tcp_breakdown))
+                heappush(heap, (t, tcp_id, seq, tcp_size, tcp_breakdown))
 
     if duration_ns > 0:
         for stream in streams:
@@ -676,11 +689,15 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
                 deliveries.append(pkt)
                 delivery_t.append(t + tau_ns)
                 occ = queue.waiting_bytes
+                if recording:
+                    add_line(f"{t}{deq_ev}{pkt[5]}{occ}{ends[pkt[1]]}")
+                    if len(block) >= REC_BLOCK:
+                        to_csv(block, record)
             else:  # arrival at the queue
                 stream = streams[heap[0][1]]
                 nxt = next(stream, None) if stream is not None else None
                 pkt = heappop(heap) if nxt is None else heapreplace(heap, nxt)
-                _, flow, seq, size, breakdown = pkt
+                flow, size = pkt[1], pkt[3]
                 m = metrics[flow]
                 m.created_total += 1
                 pw = t >= warmup_ns
@@ -689,21 +706,32 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
                 # one read serves the send row, the admission test, the
                 # drop row and a new loss cycle
                 occ = occupancy(t)
-                if recording and stream is not None:
-                    add_line(f"{t},{send_lbl[flow]},{seq},{size},{occ},{cwnds[flow]}\n")
+                if recording:
+                    if stream is not None:  # an open-loop packet enters the engine here
+                        pkt += (f"{names[flow]},{pkt[2]},{size},",)
+                    key, end = pkt[5], ends[flow]
                 if offer(pkt, occ):
+                    if recording:
+                        if stream is None:  # emit_tcp wrote the send row
+                            add_line(f"{t}{enq_ev}{key}{occ + size}{end}")
+                        else:
+                            ts = f"{t}"
+                            add_line(f"{ts}{send_ev}{key}{occ}{end}"
+                                     f"{ts}{enq_ev}{key}{occ + size}{end}")
                     occ += size
                 else:
                     m.dropped_total += 1
                     if pw:
                         m.dropped += 1
-                        for tag, nbytes in breakdown.items():
+                        for tag, nbytes in pkt[4].items():
                             m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
                             m.media_dropped_bytes[tag] = (
                                 m.media_dropped_bytes.get(tag, 0.0) + nbytes
                             )
                     if recording:
-                        add_line(f"{t},{drop_lbl[flow]},{seq},{size},{occ},{cwnds[flow]}\n")
+                        if stream is not None:
+                            add_line(f"{t}{send_ev}{key}{occ}{end}")
+                        add_line(f"{t}{drop_ev}{key}{occ}{end}")
                     if flow == tcp_id:
                         if last_tcp_drop is not None and t - last_tcp_drop <= merge_gap_ns:
                             cyc.losses += 1
@@ -726,25 +754,22 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
                         cyc.q_min = occ
                     if occ > cyc.q_max:
                         cyc.q_max = occ
-                if recording:
-                    flow = pkt[1]
-                    label = (enq_lbl if kind else deq_lbl)[flow]
-                    add_line(f"{t},{label},{pkt[2]},{pkt[3]},{occ},{cwnds[flow]}\n")
                 if waiting and queue.in_service is None:
                     link_t = t + int(start_next(t)[3] * ns_per_byte + 0.5)
 
         elif kind == 2:  # delivery at the receiver
-            created, flow, seq, size, breakdown = deliveries.popleft()
+            pkt = deliveries.popleft()
             delivery_t.popleft()
+            flow = pkt[1]
             m = metrics[flow]
             m.delivered_total += 1
             if recording:
-                add_line(f"{t},{deliv_lbl[flow]},{seq},{size},{occupancy(t)},{cwnds[flow]}\n")
+                add_line(f"{t}{deliv_ev}{pkt[5]}{occupancy(t)}{ends[flow]}")
             if t >= warmup_ns:
                 m.delivered += 1
-                for tag, nbytes in breakdown.items():
+                for tag, nbytes in pkt[4].items():
                     m.media_bytes[tag] = m.media_bytes.get(tag, 0.0) + nbytes
-                delay = (t - created) / 1e9
+                delay = (t - pkt[0]) / 1e9
                 if m.min_delay is None or delay < m.min_delay:
                     m.min_delay = delay
                 if m.max_delay is None or delay > m.max_delay:
@@ -760,7 +785,7 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
                     if delay > cyc.flow_delay_max.get(name, -math.inf):
                         cyc.flow_delay_max[name] = delay
             if flow == tcp_id:
-                ack = rcv.on_data(seq)
+                ack = rcv.on_data(pkt[2])
                 if ack is not None:
                     acks.append((t + tau_ns, ack))
 
@@ -769,14 +794,14 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
             before = tcp.cwnd
             if recording:
                 occ = occupancy(t)
-                add_line(f"{t},{ack_lbl[tcp_id]},{ack_seq},{ACK_SIZE},{occ},{cwnds[tcp_id]}\n")
+                add_line(f"{t}{ack_ev}{tcp_name},{ack_seq},{ACK_SIZE},{occ}{ends[tcp_id]}")
             sends = tcp.on_ack(ack_seq, t)
             w = tcp.cwnd
             if recording and w != before:
                 # only an ACK changes the window: this row and every later
                 # TCP row carry the new one
-                cwnds[tcp_id] = cwnd = f"{w:.3f}"
-                add_line(f"{t},{win_lbl[tcp_id]},{ack_seq},0,{occ},{cwnd}\n")
+                ends[tcp_id] = end = f",{w:.3f}\n"
+                add_line(f"{t}{win_ev}{tcp_name},{ack_seq},0,{occ}{end}")
             if cyc is not None and w < cyc.w_min:
                 cyc.w_min = w
             emit_tcp(t, sends)
@@ -787,8 +812,6 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
 
         if waiting and queue.in_service is None:
             raise SimulationError(f"link idle at t = {t} ns with {len(waiting)} packets waiting")
-        if recording and len(block) >= REC_BLOCK:
-            to_csv(block, record)
 
     # census of packets still inside the system, then per-flow conservation
     in_flight = [0] * len(names)

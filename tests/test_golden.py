@@ -3,13 +3,17 @@ runs, and of the loss-cycle table each run segments. Any change to the
 engine's event order, arithmetic or record format shows up here; a
 refactor that keeps these digests keeps the traces byte-identical and the
 cycles (bounds, queue and window extremes, merged losses, per-flow delay
-extremes) unchanged. A third set pins the adaptive sampling pipeline of
+extremes) unchanged. Two checks on the same recorded runs go with them:
+the text does not depend on the engine's block length, and each packet's
+flow, seq and size columns repeat from its send row to its deliver row.
+A third set pins the adaptive sampling pipeline of
 each signal kind: samples, significance flags and packet schedule; a
 fourth pins the text `teleqos --format csv rates` prints for each kind,
 and a fifth the stdout and exit code of analyze, simulate and validate in
 text and csv."""
 
 import hashlib
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -22,6 +26,7 @@ from teleqos import (
     deadband_filter,
     parse_scenario,
     run,
+    simulator,
     synth_haptic_trace,
 )
 from teleqos.cli import main
@@ -128,6 +133,68 @@ def test_recording_does_not_change_results(name):
     trace, _ = recorded(sim)
     assert trace.metrics["media"].media_bytes
     assert trace == run(sim)
+
+
+class _Blocks:
+    """A trace sink that keeps each block the engine writes to it."""
+
+    def __init__(self) -> None:
+        self.blocks: list[str] = []
+
+    def write(self, block: str) -> None:
+        self.blocks.append(block)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_recorded_text_does_not_depend_on_the_block_length(name, monkeypatch):
+    # the engine writes a block once it holds REC_BLOCK lines, checked at
+    # each link completion; blocks of 1 and 7 lines must join into the
+    # text test_golden_trace_digest pins for the default length
+    sim = build_simulator(five_seconds(name))
+    writes = []
+    for rec_block in (1, 7):
+        monkeypatch.setattr(simulator, "REC_BLOCK", rec_block)
+        sink = _Blocks()
+        run(sim, record=sink)
+        assert all(b.count("\n") >= rec_block for b in sink.blocks[:-1])
+        text = "".join(sink.blocks)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name][1], rec_block
+        writes.append(len(sink.blocks))
+    assert writes[0] > writes[1] > 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_each_packet_keeps_its_key_from_send_to_delivery(name):
+    # a packet's "flow,seq,size" columns are formatted once and carried
+    # with it: each enqueue or drop row repeats a send row still waiting
+    # at the queue, and, the queue and the link being FIFO, the dequeue
+    # rows repeat the enqueue rows and the deliver rows the dequeue rows
+    # in order; TCP retransmissions send one sequence number again
+    _, text = recorded(build_simulator(five_seconds(name)))
+    sends, pending = Counter(), Counter()
+    queued, on_line = deque(), deque()
+    dropped = set()
+    for row in text.splitlines()[1:]:
+        _, event, *cols = row.split(",")
+        key = tuple(cols[:3])
+        if event == "send":
+            sends[key] += 1
+            pending[key] += 1
+        elif event in ("enqueue", "drop"):
+            assert pending[key] > 0, row
+            pending[key] -= 1
+            if event == "enqueue":
+                queued.append(key)
+            else:
+                dropped.add(key[0])
+        elif event == "dequeue":
+            assert queued.popleft() == key, row
+            on_line.append(key)
+        elif event == "deliver":
+            assert on_line.popleft() == key, row
+    assert not +pending  # each send met its queue at the same instant
+    assert "bulk" in dropped and len(dropped) > 1  # TCP and open-loop drops
+    assert any(n > 1 and key[0] == "bulk" for key, n in sends.items())
 
 
 # sha256 of each signal kind's 20 s adaptive stream (seed 1, deadband 0.1,
