@@ -14,10 +14,9 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from itertools import count
 from typing import TextIO
 
 from . import simulator, units, validation
@@ -30,36 +29,23 @@ EXIT_INPUT = 2
 EXIT_ENGINE = 3
 
 
-def _output(path: str | None) -> Callable[[str], object]:
-    """A function that writes a command's report to the file at path, or to
-    stdout without a path. The file opens here, without truncation, so a
-    path that cannot be written fails before the command's work, and the
-    file keeps its contents until the report replaces them. A report is a
-    few kB; the raw trace never comes this way (see _trace_file)."""
-    if not path:
-        return lambda text: sys.stdout.write(text)  # looked up when written
-    with open(path, "a", encoding="utf-8"):
-        pass
-
-    def write(text: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    return write
-
-
 @contextmanager
-def _trace_file(path: str) -> Iterator[TextIO]:
-    """The text file simulate's trace streams into while the engine runs.
+def _replacing(path: str | None) -> Iterator[TextIO]:
+    """The text file a command writes an output into: the report (--out) or
+    simulate's streamed trace (--trace). Without a path it is stdout,
+    looked up here, when the command opens its report.
 
-    A target that exists and is not a regular file (a FIFO, a device) takes
-    the stream directly. Otherwise the target must open for appending, as
-    _output checks, and the stream goes to a new file created beside the
-    file the path names, symlinks resolved; that file replaces the target
-    only when the block ends without an error, and is removed when it ends
-    with one, so a failed run leaves the target as it was. The new file
-    takes the target's permission bits; its hard links a rename cannot
-    keep, and they keep the old text."""
+    A target that exists and is not a regular file (a FIFO, a device) is
+    written directly. Otherwise the target must open for appending, so a
+    path that cannot be written fails here, before the command's work, and
+    the output goes to a new file created beside the file the path names,
+    symlinks resolved. That file takes the target's permission bits and
+    replaces the target only when the block ends without an error; when it
+    ends with one the new file is removed and the target is left as it was.
+    A rename cannot keep the old file's hard links: they keep the old text."""
+    if not path:
+        yield sys.stdout
+        return
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -70,18 +56,14 @@ def _trace_file(path: str) -> Iterator[TextIO]:
         return
     with open(path, "a", encoding="utf-8"):
         pass
+    import tempfile  # only a command that writes a file loads it
+
     target = os.path.realpath(path)
     mode = stat.S_IMODE(os.stat(target).st_mode)
-    for n in count():
-        tmp = os.path.join(os.path.dirname(target), f".teleqos-{os.getpid()}-{n}.tmp")
-        try:
-            fh = open(tmp, "x", encoding="utf-8")  # never an existing file
-            break
-        except FileExistsError:
-            pass
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=".teleqos-", dir=os.path.dirname(target))
     try:
-        with fh:
-            os.chmod(tmp, mode)  # before a byte of the trace is written
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, mode)  # before a byte of the output is written
             yield fh
         os.replace(tmp, target)
     except BaseException:
@@ -99,7 +81,8 @@ def _load(args) -> ScenarioConfig:
 def _cmd_analyze(config: ScenarioConfig, args) -> int:
     h = validation.haptic_spec_of(config)
     report = validation.qos_check(config.net, h, config.qos, config.mux)
-    _output(args.out)(validation.emit_compliance(report, args.format))
+    with _replacing(args.out) as out:
+        out.write(validation.emit_compliance(report, args.format))
     return EXIT_OK if report.overall else EXIT_QOS_FAIL
 
 
@@ -109,34 +92,31 @@ def _cmd_simulate(config: ScenarioConfig, args) -> int:
         spec = validation.haptic_spec_of(config)  # its input errors come before the run
     sim = simulator.build_simulator(config)
     # both outputs open before the run, so a bad path costs no simulation;
-    # the trace replaces its file only if the compliance check passes too
-    with _trace_file(args.trace) if args.trace else nullcontext() as sink:
-        write_out = _output(args.out)
+    # neither replaces its file unless the compliance check passes too
+    with _replacing(args.trace) if args.trace else nullcontext() as sink, \
+            _replacing(args.out) as out:
         trace = simulator.run(sim, record=sink)
         report = None if spec is None else validation.compliance_from_simulation(config, trace)
-
-    lines = []
-    for name, m in trace.metrics.items():
-        delay = (
-            f"delay {m.min_delay * 1e3:.3f}..{m.max_delay * 1e3:.3f} ms"
-            if m.min_delay is not None
-            else "no deliveries"
-        )
-        losses = " ".join(
-            f"{tag}:{frac * 100:.3f}%" for tag, frac in sorted(m.media_loss.items())
-        )
-        lines.append(
-            f"{name}: delivered {m.delivered} dropped {m.dropped} "
-            f"({m.loss_fraction * 100:.4f}%) {delay} "
-            f"max+jitter {m.max_positive_jitter * 1e3:.3f} ms  loss[{losses}]"
-        )
-    text = "\n".join(lines) + "\n"
-    code = EXIT_OK
-    if report is not None:
-        text += validation.emit_compliance(report, args.format)
-        code = EXIT_OK if report.overall else EXIT_QOS_FAIL
-    write_out(text)
-    return code
+        lines = []
+        for name, m in trace.metrics.items():
+            delay = (
+                f"delay {m.min_delay * 1e3:.3f}..{m.max_delay * 1e3:.3f} ms"
+                if m.min_delay is not None
+                else "no deliveries"
+            )
+            losses = " ".join(
+                f"{tag}:{frac * 100:.3f}%" for tag, frac in sorted(m.media_loss.items())
+            )
+            lines.append(
+                f"{name}: delivered {m.delivered} dropped {m.dropped} "
+                f"({m.loss_fraction * 100:.4f}%) {delay} "
+                f"max+jitter {m.max_positive_jitter * 1e3:.3f} ms  loss[{losses}]"
+            )
+        text = "\n".join(lines) + "\n"
+        if report is not None:
+            text += validation.emit_compliance(report, args.format)
+        out.write(text)
+    return EXIT_OK if report is None or report.overall else EXIT_QOS_FAIL
 
 
 def _parse_sweep(spec: str) -> tuple[str, list[float]]:
@@ -155,13 +135,9 @@ def _cmd_validate(config: ScenarioConfig, args) -> int:
         nacks = tuple(int(n) for n in args.nack.split(","))
     except ValueError:
         raise ValueError(f"--nack must be a comma list of integers, got {args.nack!r}") from None
-    write_out = _output(args.out)
-    rows = validation.run_validation(
-        config, var, grid,
-        nack_grid=nacks,
-        jobs=args.jobs,
-    )
-    write_out(validation.emit_validation(rows, args.format))
+    with _replacing(args.out) as out:
+        rows = validation.run_validation(config, var, grid, nack_grid=nacks, jobs=args.jobs)
+        out.write(validation.emit_validation(rows, args.format))
     return EXIT_OK
 
 
@@ -177,29 +153,29 @@ def _cmd_rates(config: ScenarioConfig, args) -> int:
     if not adaptive:
         raise ScenarioSemanticError("rates: the scenario has no adaptive flow")
     flow = adaptive[0]
-    write_out = _output(args.out)
-    sim = simulator.build_simulator(config)
-    t_ns, sizes = sim.sources[config.flows.index(flow)].schedule[:2]
-    pairs = np.empty((len(t_ns), 2))  # filled in place, without a temporary per column
-    np.divide(t_ns, 1e9, out=pairs[:, 0])
-    pairs[:, 1] = sizes
-    del sim, t_ns, sizes  # the rate series needs only the pairs
-    series = sampling.instantaneous_rate(pairs, window=args.window)
-    if args.format == "csv":
-        times, rates = series.times.tolist(), series.rates.tolist()
-        text = validation.write_csv([
-            ("time_s", "rate_Bps"), *((f"{t:.3f}", f"{r:.1f}") for t, r in zip(times, rates)),
-            ("# peak_Bps", f"{series.peak:.1f}"), ("# mean_Bps", f"{series.mean:.1f}"),
-        ])
-    else:
-        text = (
-            f"flow {flow.name} (deadband {flow.deadband:g}): "
-            f"peak {series.peak * 8 / 1e3:.1f} kbps, "
-            f"mean {series.mean * 8 / 1e3:.1f} kbps, "
-            f"peak/mean {series.peak / series.mean:.2f} "
-            f"(window {args.window * 1e3:.0f} ms)\n"
-        )
-    write_out(text)
+    with _replacing(args.out) as out:
+        sim = simulator.build_simulator(config)
+        t_ns, sizes = sim.sources[config.flows.index(flow)].schedule[:2]
+        pairs = np.empty((len(t_ns), 2))  # filled in place, without a temporary per column
+        np.divide(t_ns, 1e9, out=pairs[:, 0])
+        pairs[:, 1] = sizes
+        del sim, t_ns, sizes  # the rate series needs only the pairs
+        series = sampling.instantaneous_rate(pairs, window=args.window)
+        if args.format == "csv":
+            times, rates = series.times.tolist(), series.rates.tolist()
+            text = validation.write_csv([
+                ("time_s", "rate_Bps"), *((f"{t:.3f}", f"{r:.1f}") for t, r in zip(times, rates)),
+                ("# peak_Bps", f"{series.peak:.1f}"), ("# mean_Bps", f"{series.mean:.1f}"),
+            ])
+        else:
+            text = (
+                f"flow {flow.name} (deadband {flow.deadband:g}): "
+                f"peak {series.peak * 8 / 1e3:.1f} kbps, "
+                f"mean {series.mean * 8 / 1e3:.1f} kbps, "
+                f"peak/mean {series.peak / series.mean:.2f} "
+                f"(window {args.window * 1e3:.0f} ms)\n"
+            )
+        out.write(text)
     return EXIT_OK
 
 

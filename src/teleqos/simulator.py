@@ -185,14 +185,11 @@ class TcpSource:
 
     def _new_sends(self, budget: int | None = None) -> list[int]:
         """Sequence numbers of the new packets the window admits now."""
-        sends = []
         if budget is None:
             budget = self.max_burst
-        limit = math.floor(self.cwnd + 1e-9)
-        while self.outstanding < limit and len(sends) < budget:
-            sends.append(self.next_seq)
-            self.next_seq += 1
-        return sends
+        first = self.next_seq
+        self.next_seq += max(0, min(math.floor(self.cwnd + 1e-9) - self.outstanding, budget))
+        return list(range(first, self.next_seq))
 
     def on_ack(self, ack_seq: int, now_ns: int) -> list[int]:
         """Process one cumulative ACK; returns the sequence numbers to emit now."""

@@ -3,6 +3,7 @@ machine, plus randomized whole-run invariants (conservation, work
 conservation, capacity, determinism, steady-state structure)."""
 
 import io
+import math
 import os
 import random
 import subprocess
@@ -219,6 +220,18 @@ def test_conservation_failure_raises(base_scenario, monkeypatch, record):
 
     monkeypatch.setattr(DropTailQueue, "offer", leaky_offer)
     with pytest.raises(SimulationError, match="in flight"):
+        run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)),
+            record=io.StringIO() if record else None)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_queue_over_its_capacity_raises(base_scenario, monkeypatch, record):
+    # a queue that admits every packet, as if each arrived at an occupancy
+    # of -inf bytes, soon holds more than its capacity; the engine checks
+    # the occupancy after each change, whether or not it records
+    offer = DropTailQueue.offer
+    monkeypatch.setattr(DropTailQueue, "offer", lambda self, pkt, occ: offer(self, pkt, -math.inf))
+    with pytest.raises(SimulationError, match="^queue occupancy exceeded capacity$"):
         run(build_simulator(replace(base_scenario, duration=0.5, warmup=0.0)),
             record=io.StringIO() if record else None)
 

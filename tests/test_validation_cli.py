@@ -359,6 +359,32 @@ def test_cli_input_error(tmp_path, capsys):
     assert "line 5" in err
 
 
+MEDIA_FLOW = "[flow.media]\nkind = telehaptic\nrate = 1.096 Mbps\npacket = 137 B\ngap = 1 ms\n"
+CROSS_FLOW = "[flow.cross]\nkind = cbr\nrate = 1.904 Mbps\npacket = 150 B\n"
+
+
+@pytest.mark.parametrize("command, text, argv, message", [
+    ("analyze", baseline_text() + "\n" + MEDIA_FLOW.replace("media", "media2"), [],
+     "analytic operations need exactly one telehaptic flow, found 2"),
+    ("analyze", baseline_text().replace(MEDIA_FLOW, ""), [],
+     "analytic operations need exactly one telehaptic flow, found 0"),
+    ("validate", baseline_text().replace(CROSS_FLOW, ""), ["--sweep", "R=2Mbps"],
+     "R sweep needs a CBR cross-traffic flow to adjust"),
+    ("validate", baseline_text(), ["--sweep", "3Mbps"],
+     "sweep must look like VAR=a,b,c with unit-suffixed values"),
+    ("validate", baseline_text(), ["--sweep", "R="], "sweep grid is empty"),
+    ("analyze", baseline_text().replace("mu = 6 Mbps", "mu = 1 2 Mbps"), [],
+     "line 5: mu: cannot parse rate value '1 2 Mbps'"),
+], ids=["two-telehaptic", "no-telehaptic", "R-without-cbr", "sweep-without-var",
+        "empty-sweep", "rate-with-a-space"])
+def test_cli_reports_an_input_error_in_one_line(tmp_path, capsys, monkeypatch, command, text,
+                                                argv, message):
+    monkeypatch.setattr(simulator, "run", _no_run)
+    assert MEDIA_FLOW in baseline_text() and CROSS_FLOW in baseline_text()
+    assert main([command, "--config", write_cfg(tmp_path, text), *argv]) == 2
+    assert capsys.readouterr() == ("", f"teleqos: {message}\n")
+
+
 def test_cli_rejects_a_tcp_packet_size(tmp_path, capsys):
     # TCP packets are s_tcp bytes; a flow-level packet size is an input error
     text = baseline_text().replace("kind = tcp\n", "kind = tcp\npacket = 1400 B\n")
@@ -383,21 +409,30 @@ def test_cli_directory_as_out_is_an_input_error(tmp_path, capsys):
 
 
 def test_cli_engine_fault_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
-    # a link that never takes the head packet into service breaks a
-    # post-condition of the engine, which is neither a QoS failure nor bad
-    # input; the trace streamed so far is thrown away with its file
-    monkeypatch.setattr(simulator.DropTailQueue, "start_next", lambda self, t: self.packets[0])
+    # a link that never takes the head packet into service, or a queue that
+    # admits every packet, breaks a post-condition of the engine, which is
+    # neither a QoS failure nor bad input; the trace streamed so far is
+    # thrown away with its file
+    offer = simulator.DropTailQueue.offer
+    faults = [
+        ("start_next", lambda self, t: self.packets[0], "link idle at t = 0 ns"),
+        ("offer", lambda self, pkt, occ: offer(self, pkt, -math.inf),
+         "queue occupancy exceeded capacity\n"),
+    ]
     path = write_cfg(tmp_path, baseline_text())
     trace_path = tmp_path / "events.csv"
     trace_path.write_bytes(b"an earlier trace\n")
     before = sorted(os.listdir(tmp_path))
-    assert main(["simulate", "--config", path, "--duration", "0.5", "--warmup", "0",
-                 "--trace", str(trace_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("teleqos: simulation failed: link idle at t = 0 ns")
-    assert err.count("\n") == 1
-    assert sorted(os.listdir(tmp_path)) == before
-    assert trace_path.read_bytes() == b"an earlier trace\n"
+    for name, fault, message in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator.DropTailQueue, name, fault)
+            assert main(["simulate", "--config", path, "--duration", "0.5", "--warmup", "0",
+                         "--trace", str(trace_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"teleqos: simulation failed: {message}")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+        assert trace_path.read_bytes() == b"an earlier trace\n"
 
 
 def test_cli_simulate_with_trace(tmp_path, capsys):
@@ -417,42 +452,52 @@ def test_cli_simulate_with_trace(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["events.csv", "scenario.scn"]
 
 
-# a run short enough for the tests of where --trace goes, with its warmup
+# a run short enough for the tests of where --trace and --out go, with its warmup
 SHORT_RUN = ["--duration", "1", "--warmup", "0.5"]
 
 
-def _short_trace() -> bytes:
+def _short_outputs(path: str, capsys) -> dict[str, bytes]:
+    """What a short run of the scenario at path writes to each output."""
+    assert main(["simulate", "--config", path, *SHORT_RUN]) in (0, 1)
     cfg = replace(parse_scenario(baseline_text()), duration=1.0, warmup=0.5)
-    return recorded(build_simulator(cfg))[1].encode()
+    return {"--trace": recorded(build_simulator(cfg))[1].encode(),
+            "--out": capsys.readouterr().out.encode()}
 
 
 def test_cli_simulate_trace_through_a_symlink_replaces_the_file_it_names(tmp_path, capsys):
-    # the new trace takes the place of the file the link points to; the
-    # link stays a link, and a file that has the name the temporary file
-    # would first take is left alone
+    # the new trace, or report, takes the place of the file the link points
+    # to; the link stays a link, and a file named like the temporary files
+    # an output is written into is left alone
     path = write_cfg(tmp_path, baseline_text())
     target = tmp_path / "traces" / "events.csv"
     target.parent.mkdir()
-    target.write_bytes(b"an earlier trace\n")
     squatter = target.parent / f".teleqos-{os.getpid()}-0.tmp"
     squatter.write_bytes(b"not ours\n")
     link = tmp_path / "latest.csv"
     link.symlink_to(target)
-    assert main(["simulate", "--config", path, *SHORT_RUN, "--trace", str(link)]) in (0, 1)
-    assert link.is_symlink() and link.resolve() == target
-    assert target.read_bytes() == _short_trace()
-    assert squatter.read_bytes() == b"not ours\n"
-    assert sorted(os.listdir(target.parent)) == [squatter.name, "events.csv"]
+    for option, output in _short_outputs(path, capsys).items():
+        target.write_bytes(b"an earlier output\n")
+        assert main(["simulate", "--config", path, *SHORT_RUN, option, str(link)]) in (0, 1)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == output
+        assert squatter.read_bytes() == b"not ours\n"
+        assert sorted(os.listdir(target.parent)) == [squatter.name, "events.csv"]
 
 
 def test_cli_simulate_trace_keeps_the_permissions_of_the_file_it_replaces(tmp_path, capsys):
+    # for --out as for --trace; a missing file is created with the mode
+    # the umask gives, not the owner-only mode of the temporary file
     path = write_cfg(tmp_path, baseline_text())
-    trace_path = tmp_path / "events.csv"
-    trace_path.write_bytes(b"an earlier trace\n")
-    trace_path.chmod(0o600)
-    assert main(["simulate", "--config", path, *SHORT_RUN, "--trace", str(trace_path)]) in (0, 1)
-    assert trace_path.read_bytes() == _short_trace()
-    assert stat.S_IMODE(trace_path.stat().st_mode) == 0o600
+    umask = os.umask(0o022)
+    os.umask(umask)
+    for option, output in _short_outputs(path, capsys).items():
+        new_path, old_path = tmp_path / f"new{option}", tmp_path / f"old{option}"
+        old_path.write_bytes(b"an earlier output\n")
+        old_path.chmod(0o640)
+        for target, mode in ((new_path, 0o666 & ~umask), (old_path, 0o640)):
+            assert main(["simulate", "--config", path, *SHORT_RUN, option, str(target)]) in (0, 1)
+            assert target.read_bytes() == output
+            assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 def test_perfbench_spans_see_every_block_of_the_streamed_trace(tmp_path, capsys, monkeypatch):
@@ -479,19 +524,22 @@ def test_perfbench_spans_see_every_block_of_the_streamed_trace(tmp_path, capsys,
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_cli_simulate_streams_its_trace_into_a_fifo(tmp_path, capsys):
-    # a target that is not a regular file takes the stream as it comes,
-    # with no file created beside it and nothing renamed over it
+    # a target that is not a regular file takes the trace, or the report,
+    # as it comes, with no file created beside it and nothing renamed over it
     path = write_cfg(tmp_path, baseline_text())
+    outputs = _short_outputs(path, capsys)
     fifo = tmp_path / "events.fifo"
     os.mkfifo(fifo)
     before = sorted(os.listdir(tmp_path))
-    received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    assert main(["simulate", "--config", path, *SHORT_RUN, "--trace", str(fifo)]) in (0, 1)
-    reader.join(timeout=60)
-    assert not reader.is_alive() and received == [_short_trace()]
-    assert sorted(os.listdir(tmp_path)) == before and fifo.is_fifo()
+    for option, output in outputs.items():
+        received = []
+        reader = threading.Thread(target=lambda got=received: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert main(["simulate", "--config", path, *SHORT_RUN, option, str(fifo)]) in (0, 1)
+        reader.join(timeout=60)
+        assert not reader.is_alive() and received == [output]
+        assert sorted(os.listdir(tmp_path)) == before and fifo.is_fifo()
 
 
 @pytest.mark.parametrize("argv, window", [
