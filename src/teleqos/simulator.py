@@ -283,7 +283,6 @@ class TcpReceiver:
 class FlowMetrics:
     """Post-warmup metrics for one flow (counts, delays, jitter, loss)."""
 
-    flow: str
     created: int = 0
     delivered: int = 0
     dropped: int = 0
@@ -359,13 +358,11 @@ def _cycle_mean(per_cycle: list[dict], flow: str) -> float:
 
 @dataclass
 class Trace:
-    """Simulation output: metrics, cycle data and the end census. The raw
-    trace is not kept here; run(sim, record=sink) writes it to the sink as
-    it goes."""
+    """Simulation output: metrics and cycle data. The raw trace is not kept
+    here; run(sim, record=sink) writes it to the sink as it goes."""
 
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
-    in_flight_end: dict[str, int]
 
     @staticmethod
     def to_csv(lines: list[str], out: TextIO) -> str:
@@ -563,7 +560,8 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
 def run(sim: Simulator, record: TextIO | None = None) -> Trace:
     """Execute the simulation deterministically for the scenario's duration.
 
-    Metrics cover only events past the scenario's effective warmup. With
+    The Trace it returns holds the loss cycles and each flow's metrics,
+    past the effective warmup but for the run-wide *_total counts. With
     record, a text sink such as an open file or an io.StringIO, the run
     writes the raw trace to it as it goes: REC_HEADER, then one CSV line per
     event with the queue occupancy after it, covering the warmup too. A
@@ -595,7 +593,7 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
     waiting = queue.packets
     capacity = queue.capacity
     names = [f.name for f in cfg.flows]
-    metrics = [FlowMetrics(flow=name) for name in names]
+    metrics = [FlowMetrics() for _ in names]
     tcp_id = next((i for i, src in enumerate(sim.sources) if src.kind == "tcp"), -1)
     tcp = rcv = tcp_breakdown = tcp_name = tcp_size = None
     if tcp_id >= 0:
@@ -816,18 +814,14 @@ def run(sim: Simulator, record: TextIO | None = None) -> Trace:
         in_flight[pkt[1]] += 1
     if queue.in_service is not None:
         in_flight[queue.in_service[1]] += 1
-    for m, inside in zip(metrics, in_flight):
+    for name, m, inside in zip(names, metrics, in_flight):
         if m.created_total != m.delivered_total + m.dropped_total + inside:
             raise SimulationError(
-                f"flow {m.flow}: {m.created_total} packets created, but "
+                f"flow {name}: {m.created_total} packets created, but "
                 f"{m.delivered_total} delivered + {m.dropped_total} dropped "
                 f"+ {inside} in flight"
             )
 
     if recording:
         to_csv(block, record)
-    return Trace(
-        metrics=dict(zip(names, metrics)),
-        cycles=cycles,
-        in_flight_end=dict(zip(names, in_flight)),
-    )
+    return Trace(metrics=dict(zip(names, metrics)), cycles=cycles)

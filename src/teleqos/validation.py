@@ -120,13 +120,12 @@ def _sweep_config(config: ScenarioConfig, var: str, value: float) -> ScenarioCon
     raise ScenarioSemanticError(f"unknown sweep variable {var!r} (expected R or mu)")
 
 
-def _one_point(cfg: ScenarioConfig, row: ValidationRow, sim: simulator.Simulator | None
-               ) -> ValidationRow:
+def _one_point(row: ValidationRow, sim: simulator.Simulator | None) -> ValidationRow:
     """row, one sweep point's analytic row, with its measured columns filled
     in by running sim, the point's built simulator, when one is given."""
     if sim is None:
         return row
-    tele_name = next(f.name for f in cfg.flows if f.kind == "telehaptic")
+    tele_name = next(f.name for f in sim.config.flows if f.kind == "telehaptic")
     trace = simulator.run(sim)
     m = trace.metrics[tele_name]
     # d_max is a bound, so the run-wide maximum is compared; d_min uses
@@ -170,7 +169,7 @@ def run_validation(
             agg = CbrAggregate(h.rate_total)
             row = ValidationRow(value, nack, *delay_bounds(cfg.net, agg),
                                 haptic_jitter_max(cfg.net, h), validity_check(cfg.net, agg))
-            points.append((cfg, row, simulator.build_simulator(cfg) if simulate else None))
+            points.append((row, simulator.build_simulator(cfg) if simulate else None))
     workers = min(jobs, len(points))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

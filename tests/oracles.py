@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import io
 import math
+import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
-from teleqos.model import q_init, slots_per_cycle
+from teleqos.model import NetworkParams, q_init, slots_per_cycle
 from teleqos.sampling import CHUNK_TICKS, HAPTIC_TICK, ZERO_REF_EPS
+from teleqos.scenario import FlowSpec, ScenarioConfig
 from teleqos.simulator import (
     ACK_SIZE,
     REC_EVENTS,
@@ -25,6 +28,8 @@ from teleqos.simulator import (
     run,
 )
 
+MBPS = 1e6 / 8.0
+
 # trace record event codes, indexing REC_EVENTS
 REC_SEND, REC_ENQ, REC_DROP, REC_DEQ, REC_DELIV, REC_ACK, REC_WIN = range(7)
 
@@ -35,6 +40,55 @@ def recorded(sim) -> tuple[Trace, str]:
     sink = io.StringIO()
     trace = run(sim, record=sink)
     return trace, sink.getvalue()
+
+
+def trace_rows(text: str):
+    """Each row of a recorded trace as (time_ns, event, flow, queue_bytes)."""
+    for row in text.splitlines()[1:]:
+        t, event, flow, _seq, _size, occ = row.split(",")[:6]
+        yield int(t), event, flow, int(occ)
+
+
+def queue_extremes(text: str, warmup: float) -> tuple[int, int]:
+    """Least and greatest queue occupancy, bytes, that a recorded trace
+    shows after an enqueue or dequeue at or after `warmup` seconds."""
+    start = round(warmup * 1e9)
+    occs = [occ for t, event, _flow, occ in trace_rows(text)
+            if t >= start and event in ("enqueue", "dequeue")]
+    return min(occs), max(occs)
+
+
+def assert_ledger_matches_rows(trace: Trace, text: str) -> None:
+    """Each flow's run-wide counts in trace against its send, enqueue, drop
+    and deliver rows in text, the trace the same run recorded: a packet is
+    created by its send row and dropped or delivered by its drop or deliver
+    row, and an admitted one is inside from its enqueue row until its
+    deliver row."""
+    rows = Counter(tuple(row.split(",", 3)[1:3]) for row in text.splitlines()[1:])
+    for name, m in trace.metrics.items():
+        inside = m.created_total - m.delivered_total - m.dropped_total
+        assert (m.created_total, m.dropped_total, m.delivered_total, inside) == (
+            rows["send", name], rows["drop", name], rows["deliver", name],
+            rows["enqueue", name] - rows["deliver", name],
+        ), name
+
+
+def random_scenario(rng: random.Random) -> ScenarioConfig:
+    """A 4 s scenario without warmup: TCP beside a telehaptic and a CBR
+    flow that share 10-60% of a random link."""
+    mu = rng.uniform(3.0, 12.0) * MBPS
+    tau = rng.uniform(2e-3, 10e-3)
+    buf = rng.uniform(1.2, 3.0) * (2 * mu * tau)
+    s_tcp = rng.choice((400.0, 578.0, 1000.0))
+    net = NetworkParams(mu=mu, tau=tau, buf=buf, s_tcp=s_tcp, n_ack=rng.choice((1, 2)))
+    flows = [FlowSpec(name="bulk", kind="tcp")]
+    load = rng.uniform(0.1, 0.6)
+    pkt = rng.choice((100.0, 137.0, 250.0))
+    flows.append(FlowSpec(name="media", kind="telehaptic", rate=load * mu / 2, packet=pkt,
+                          gap=pkt / (load * mu / 2)))
+    flows.append(FlowSpec(name="cross", kind="cbr", rate=load * mu / 2, packet=150.0))
+    return ScenarioConfig(net=net, flows=tuple(flows), duration=4.0, warmup=0.0,
+                          seed=rng.randint(1, 100))
 
 
 def mtcp_by_timeline(n: int, s_tcp: float, mu: float, rate: float, interval: float) -> int:
@@ -201,9 +255,10 @@ EV_LINK_DONE, EV_ARRIVE, EV_DELIVER, EV_ACK, EV_RTO = range(5)
 
 @dataclass
 class HeapRun:
-    """What the single-heap engine measured: the metrics, cycles and end
-    census that run() returns in a Trace, under the same names, and the
-    trace text that run() writes to its sink."""
+    """What the single-heap engine measured: the metrics and cycles that
+    run() returns in a Trace, under the same names, the trace text that
+    run() writes to its sink, and its own census of each flow's packets
+    still inside the system at the end."""
 
     metrics: dict[str, FlowMetrics]
     cycles: list[CycleRecord]
@@ -228,7 +283,7 @@ class _HeapEngine:
         self.lines = ["time_ns,event,flow,seq,size_bytes,queue_bytes,cwnd_pkts\n"]
 
         self.names = [f.name for f in cfg.flows]
-        self.metrics = [FlowMetrics(flow=name) for name in self.names]
+        self.metrics = [FlowMetrics() for _ in self.names]
 
         self.tcp_flow = next((i for i, s in enumerate(sim.sources) if s.kind == "tcp"), None)
         self.tcp: TcpSource | None = None

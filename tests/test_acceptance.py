@@ -24,7 +24,13 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from oracles import mtcp_by_timeline, recorded
+from oracles import (
+    assert_ledger_matches_rows,
+    mtcp_by_timeline,
+    queue_extremes,
+    random_scenario,
+    recorded,
+)
 from teleqos import (
     AvMuxSpec,
     CbrAggregate,
@@ -361,17 +367,12 @@ def test_criterion_8_invariant_suites():
             assert qs[1] <= qs[0] + 1e-6
         cases += 1
 
-    from test_simulator import queue_extremes, random_scenario
-
     sim_cases = 0
     for _ in range(6):
         cfg = random_scenario(rng)
         trace, text = recorded(build_simulator(cfg))
         assert queue_extremes(text, cfg.effective_warmup)[1] <= cfg.net.buf
-        for name, m in trace.metrics.items():
-            assert m.created_total == (
-                m.delivered_total + m.dropped_total + trace.in_flight_end[name]
-            )
+        assert_ledger_matches_rows(trace, text)
         try:
             stats = extract_cycles(trace)
             assert max(c.q_max for c in stats.cycles) <= cfg.net.buf

@@ -128,7 +128,7 @@ def test_golden_cycle_digest(name):
 def test_recording_does_not_change_results(name):
     # every arrival reads the queue occupancy whether or not the run
     # records, and recording adds its own lines and reads on top; the
-    # traces of both paths must be equal: every metric, cycle and census
+    # traces of both paths must be equal: every metric and cycle
     sim = build_simulator(five_seconds(name))
     trace, _ = recorded(sim)
     assert trace.metrics["media"].media_bytes

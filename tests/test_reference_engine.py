@@ -2,20 +2,27 @@
 in oracles.py, over seeded random scenarios.
 
 The rule: an engine change lands only if this oracle still agrees, byte for
-byte on the raw trace, every queue occupancy included, and exactly on the
-metrics, the loss cycles and the end census. The scenarios mix n_ack 1 and 2,
+byte on the raw trace, every queue occupancy included, exactly on the
+metrics and the loss cycles, and its own census of the packets left inside
+at the end with the engine's ledger. The scenarios mix n_ack 1 and 2,
 aggregate fixed loads up to R/mu = 0.95, fractional buffers, adaptive
 flows, and links with a whole number of nanoseconds per byte whose open-loop
 gaps and phases are whole multiples of a service time, so that arrivals,
 link completions, deliveries and ACKs fall on the same instant.
+
+Two relations any correct engine keeps are checked on the same scenarios:
+the trace does not depend on the warmup, and the trace of a run is a byte
+prefix of the trace of a longer run (except where a filtered-noise signal
+is scaled by its maximum over the whole run).
 """
 
+import functools
 import math
 import random
 from dataclasses import replace
 
 import pytest
-from oracles import recorded, run_by_single_heap
+from oracles import assert_ledger_matches_rows, recorded, run_by_single_heap
 
 from teleqos import FlowSpec, NetworkParams, ScenarioConfig, SignalSpec, build_simulator
 
@@ -82,7 +89,42 @@ def test_engine_matches_the_single_heap_reference(seed):
         pytest.fail(_first_difference(text, ref.csv))
     assert trace.metrics == ref.metrics
     assert trace.cycles == ref.cycles
-    assert trace.in_flight_end == ref.in_flight_end
+    assert ref.in_flight_end == {
+        name: m.created_total - m.delivered_total - m.dropped_total
+        for name, m in trace.metrics.items()
+    }
+
+
+@functools.cache
+def _recorded_run(seed: int, duration: float, warmup: float):
+    """A reference scenario's run, cut to duration and warmup, and its
+    trace; the two relations below share the 0.5 s run without warmup."""
+    cfg = replace(reference_scenario(seed), duration=duration, warmup=warmup)
+    return recorded(build_simulator(cfg))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_trace_does_not_depend_on_the_warmup(seed):
+    # the warmup only decides which events the metrics count; the run-wide
+    # counts still cover the rows recorded during it
+    text = _recorded_run(seed, 0.5, 0.0)[1]
+    trace, late_text = _recorded_run(seed, 0.5, 0.4)
+    if text != late_text:
+        pytest.fail(_first_difference(text, late_text))
+    assert_ledger_matches_rows(trace, late_text)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_run_is_a_byte_prefix_of_a_longer_run(seed):
+    # a filtered-noise signal is scaled by its maximum over the whole run,
+    # so its packets may change with the duration: the relation is asserted
+    # without one, and its known failure on seed 6 is asserted too
+    short, long = (_recorded_run(seed, duration, 0.0)[1] for duration in (0.5, 0.8))
+    flows = reference_scenario(seed).flows
+    if not any(f.kind == "adaptive" and f.signal.kind == "filtered-noise" for f in flows):
+        assert long.startswith(short)
+    elif seed == 6:
+        assert not long.startswith(short)
 
 
 def test_reference_scenarios_reach_the_cases_the_rule_is_about():

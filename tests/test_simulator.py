@@ -14,7 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import recorded
+from oracles import (
+    assert_ledger_matches_rows,
+    queue_extremes,
+    random_scenario,
+    recorded,
+    trace_rows,
+)
 
 import teleqos
 from teleqos import (
@@ -161,51 +167,25 @@ def test_per_ack_burst_is_capped():
 # whole-run invariants
 
 
-def random_scenario(rng: random.Random) -> ScenarioConfig:
-    mu = rng.uniform(3.0, 12.0) * MBPS
-    tau = rng.uniform(2e-3, 10e-3)
-    buf = rng.uniform(1.2, 3.0) * (2 * mu * tau)
-    s_tcp = rng.choice((400.0, 578.0, 1000.0))
-    net = NetworkParams(mu=mu, tau=tau, buf=buf, s_tcp=s_tcp, n_ack=rng.choice((1, 2)))
-    flows = [FlowSpec(name="bulk", kind="tcp")]
-    load = rng.uniform(0.1, 0.6)
-    pkt = rng.choice((100.0, 137.0, 250.0))
-    flows.append(FlowSpec(name="media", kind="telehaptic", rate=load * mu / 2, packet=pkt,
-                          gap=pkt / (load * mu / 2)))
-    flows.append(FlowSpec(name="cross", kind="cbr", rate=load * mu / 2, packet=150.0))
-    return ScenarioConfig(net=net, flows=tuple(flows), duration=4.0, warmup=0.0,
-                          seed=rng.randint(1, 100))
-
-
 def test_conservation_capacity_work_conservation():
     rng = random.Random(42)
     for _ in range(12):
         cfg = random_scenario(rng)
         trace, text = recorded(build_simulator(cfg))
         assert queue_extremes(text, cfg.effective_warmup)[1] <= cfg.net.buf
-        for name, m in trace.metrics.items():
-            assert m.created_total == (
-                m.delivered_total + m.dropped_total + trace.in_flight_end[name]
-            ), name
+        assert_ledger_matches_rows(trace, text)
 
 
 def test_conservation_with_packets_on_the_delivery_line():
     # 50 ms of the shipped scenario ends with packets still crossing the
-    # tau = 8 ms link: the end census must count them
+    # tau = 8 ms link: the ledger must count them as inside
     cfg = replace(parse_scenario(baseline_text()), duration=0.05, warmup=0.05)
     trace, text = recorded(build_simulator(cfg))
-    on_line = {name: 0 for name in trace.metrics}
-    inside = dict(on_line)
-    for row in text.splitlines()[1:]:
-        event, flow = row.split(",")[1:3]
-        step = {"enqueue": (0, 1), "dequeue": (1, 0), "deliver": (-1, -1)}.get(event)
-        if step:
-            on_line[flow] += step[0]
-            inside[flow] += step[1]
+    on_line = dict.fromkeys(trace.metrics, 0)
+    for _t, event, flow, _occ in trace_rows(text):
+        on_line[flow] += {"dequeue": 1, "deliver": -1}.get(event, 0)
     assert any(on_line.values())
-    assert trace.in_flight_end == inside
-    for name, m in trace.metrics.items():
-        assert m.created_total == m.delivered_total + m.dropped_total + trace.in_flight_end[name]
+    assert_ledger_matches_rows(trace, text)
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -246,27 +226,11 @@ def test_idle_link_with_work_waiting_raises(base_scenario, monkeypatch, record):
             record=io.StringIO() if record else None)
 
 
-def _rows(text: str):
-    """Each row of a recorded trace as (time_ns, event, flow, queue_bytes)."""
-    for row in text.splitlines()[1:]:
-        t, event, flow, _seq, _size, occ = row.split(",")[:6]
-        yield int(t), event, flow, int(occ)
-
-
 def _events_at(text: str) -> dict[int, list[tuple[str, str]]]:
     by_time: dict[int, list[tuple[str, str]]] = {}
-    for t, event, flow, _occ in _rows(text):
+    for t, event, flow, _occ in trace_rows(text):
         by_time.setdefault(t, []).append((event, flow))
     return by_time
-
-
-def queue_extremes(text: str, warmup: float) -> tuple[int, int]:
-    """Least and greatest queue occupancy, bytes, that a recorded trace
-    shows after an enqueue or dequeue at or after `warmup` seconds."""
-    start = round(warmup * 1e9)
-    occs = [occ for t, event, _flow, occ in _rows(text)
-            if t >= start and event in ("enqueue", "dequeue")]
-    return min(occs), max(occs)
 
 
 def test_equal_instant_arrivals_go_in_flow_order(base_net):

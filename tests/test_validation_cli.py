@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -464,20 +465,33 @@ def _short_outputs(path: str, capsys) -> dict[str, bytes]:
             "--out": capsys.readouterr().out.encode()}
 
 
-def test_cli_simulate_trace_through_a_symlink_replaces_the_file_it_names(tmp_path, capsys):
+def test_cli_simulate_trace_through_a_symlink_replaces_the_file_it_names(
+    tmp_path, capsys, monkeypatch
+):
     # the new trace, or report, takes the place of the file the link points
-    # to; the link stays a link, and a file named like the temporary files
-    # an output is written into is left alone
+    # to; the link stays a link, and a file that holds the first name the
+    # temporary file is offered is left alone
     path = write_cfg(tmp_path, baseline_text())
     target = tmp_path / "traces" / "events.csv"
     target.parent.mkdir()
-    squatter = target.parent / f".teleqos-{os.getpid()}-0.tmp"
+    squatter = target.parent / ".teleqos-squatted.tmp"
     squatter.write_bytes(b"not ours\n")
     link = tmp_path / "latest.csv"
     link.symlink_to(target)
-    for option, output in _short_outputs(path, capsys).items():
+    offered = []
+
+    def candidate_names():
+        for name in ("squatted", "fresh"):
+            offered.append(name)
+            yield name
+
+    outputs = _short_outputs(path, capsys)
+    monkeypatch.setattr(tempfile, "_get_candidate_names", candidate_names)
+    for option, output in outputs.items():
         target.write_bytes(b"an earlier output\n")
+        offered.clear()
         assert main(["simulate", "--config", path, *SHORT_RUN, option, str(link)]) in (0, 1)
+        assert offered == ["squatted", "fresh"]
         assert link.is_symlink() and link.resolve() == target
         assert target.read_bytes() == output
         assert squatter.read_bytes() == b"not ours\n"
